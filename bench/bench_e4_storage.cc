@@ -6,7 +6,9 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "common/units.h"
@@ -92,12 +94,12 @@ int Run() {
   std::printf("  conventional map tiled: %zu tiles, %.1f MB total\n\n",
               store.NumTiles(), store.TotalBytes() / 1e6);
 
-  // --- Tile-serving hot path: parallel Build, cached LoadRegion. ---
+  // --- Tile-serving path: parallel Build, cold vs warm LoadRegion. ---
   size_t nthreads = std::max(1u, std::thread::hardware_concurrency());
-  std::printf("  tile-serving hot path (%zu hardware threads):\n", nthreads);
+  std::printf("  tile-serving path (%zu hardware threads):\n", nthreads);
 
   // Build scaling: element assignment is sequential and deterministic,
-  // per-tile serialization fans out.
+  // per-tile encoding fans out.
   constexpr int kBuildReps = 5;
   auto time_build = [&](size_t threads) {
     TileStore s(TileStore::Options{.tile_size_m = 256.0});
@@ -114,60 +116,59 @@ int Run() {
               build_1 * 1e3, build_n * 1e3, nthreads, build_1 / build_n);
 
   // Determinism guarantee: identical bytes regardless of thread count.
-  TileStore s1(TileStore::Options{.tile_size_m = 256.0});
-  TileStore sn(TileStore::Options{.tile_size_m = 256.0});
-  if (!s1.Build(map, 1).ok() || !sn.Build(map, nthreads).ok()) return 1;
-  bool deterministic = s1.RawTilesCopy() == sn.RawTilesCopy();
+  TileStore serial(TileStore::Options{.tile_size_m = 256.0});
+  TileStore serving(TileStore::Options{.tile_size_m = 256.0});
+  if (!serial.Build(map, 1).ok() || !serving.Build(map, nthreads).ok()) {
+    return 1;
+  }
+  bool deterministic = serial.RawTilesCopy() == serving.RawTilesCopy();
   std::printf("    Build bytes 1 vs %zu threads: %s\n", nthreads,
               deterministic ? "identical" : "DIFFER");
 
-  // Repeated LoadRegion over hot tiles: first pass deserializes and fills
-  // the LRU cache, later passes are served from it.
-  TileStore serving(TileStore::Options{.tile_size_m = 256.0});
-  if (!serving.Build(map, nthreads).ok()) return 1;
+  // LoadRegion cold (a fresh store copy each rep: every tile's view is
+  // validated) vs warm (views cached, only materialize + stitch remain).
+  // Informational: no target.
   Aabb hot_box = map.BoundingBox();
-  constexpr int kRegionReps = 10;
+  constexpr int kRegionReps = 5;
   bench::Timer cold_timer;
-  auto cold = serving.LoadRegion(hot_box);
-  if (!cold.ok()) return 1;
-  double cold_s = cold_timer.Seconds();
-  bench::Timer hot_timer;
+  for (int i = 0; i < kRegionReps; ++i) {
+    TileStore cold_store = serving;
+    if (!cold_store.LoadRegion(hot_box).ok()) return 1;
+  }
+  double cold_s = cold_timer.Seconds() / kRegionReps;
+  bench::Timer warm_timer;
   for (int i = 0; i < kRegionReps; ++i) {
     if (!serving.LoadRegion(hot_box).ok()) return 1;
   }
-  double hot_s = hot_timer.Seconds() / kRegionReps;
-  TileStoreStats stats = serving.stats();
-  std::printf(
-      "    LoadRegion: %.1f ms cold, %.1f ms hot (%.2fx); "
-      "cache %zu hits / %zu misses\n\n",
-      cold_s * 1e3, hot_s * 1e3, cold_s / hot_s, stats.cache_hits,
-      stats.cache_misses);
+  double warm_s = warm_timer.Seconds() / kRegionReps;
+  std::printf("    LoadRegion: %.1f ms cold, %.1f ms warm views\n\n",
+              cold_s * 1e3, warm_s * 1e3);
 
-  // --- Tile format v3: zero-copy views vs the legacy v1 decode. ---
-  std::printf("  tile format v3 (offset-table views) vs legacy v1 decode:\n");
-  TileStore v1_store(TileStore::Options{.tile_size_m = 256.0,
-                                        .format = TileFormat::kLegacyV1});
-  TileStore v3_store(TileStore::Options{.tile_size_m = 256.0,
-                                        .format = TileFormat::kFlatV3});
-  if (!v1_store.Build(map, nthreads).ok() ||
-      !v3_store.Build(map, nthreads).ok()) {
-    return 1;
-  }
-  auto in_box = v3_store.TilesInBox(hot_box);
+  // --- Tile format v3: zero-copy views vs a v1 decode yardstick. ---
+  std::printf("  tile format v3 (offset-table views) vs v1 decode:\n");
+  auto in_box = serving.TilesInBox(hot_box);
   if (!in_box.ok()) return 1;
+  // The v1 yardstick: each tile's content in the streaming v1 encoding
+  // (SerializeMap), i.e. what a decode-everything tile format costs.
+  std::vector<std::string> v1_blobs;
+  v1_blobs.reserve(in_box->size());
+  for (const TileId& id : *in_box) {
+    auto tile = serving.LoadTile(id);
+    if (!tile.ok()) return 1;
+    v1_blobs.push_back(SerializeMap(*tile));
+  }
 
   // Cold "LoadRegion to first geometry": how long from untouched bytes
   // to geometry in hand, across every tile in the region. v1 must decode
   // each tile in full; v3 validates the offset tables and reads the
-  // first centerline point in place. Fresh store copies each rep keep
-  // both caches cold.
+  // first centerline point in place (a fresh store copy each rep keeps
+  // the view cache cold).
   constexpr int kColdReps = 5;
   double sink = 0.0;  // Defeats dead-code elimination.
   bench::Timer v1_cold_timer;
   for (int rep = 0; rep < kColdReps; ++rep) {
-    TileStore cold_store = v1_store;
-    for (const TileId& id : *in_box) {
-      auto tile = cold_store.LoadTile(id);
+    for (const std::string& blob : v1_blobs) {
+      auto tile = DeserializeMap(blob);
       if (!tile.ok()) return 1;
       if (!tile->lanelets().empty()) {
         sink += tile->lanelets().begin()->second.centerline.front().x;
@@ -177,7 +178,7 @@ int Run() {
   double v1_cold_s = v1_cold_timer.Seconds() / kColdReps;
   bench::Timer v3_cold_timer;
   for (int rep = 0; rep < kColdReps; ++rep) {
-    TileStore cold_store = v3_store;
+    TileStore cold_store = serving;
     for (const TileId& id : *in_box) {
       auto view = cold_store.GetTileView(id);
       if (!view.ok()) return 1;
@@ -192,48 +193,25 @@ int Run() {
       "    cold region to first geometry: v1 %.2f ms, v3 %.3f ms (%.0fx)\n",
       v1_cold_s * 1e3, v3_cold_s * 1e3, v3_speedup);
 
-  // Bytes served verbatim: the network GetTile path ships the pinned
-  // frame bytes untouched (CRC travels inside), vs re-decoding per
-  // request. Throughput over every tile in the region.
+  // Pinned serving: the network GetTile path ships the pinned frame
+  // bytes untouched (CRC travels inside), so its cost per tile is a map
+  // lookup plus a refcount, not a function of the tile's size.
   constexpr int kServeReps = 20;
-  size_t verbatim_bytes = 0;
   bench::Timer verbatim_timer;
   for (int rep = 0; rep < kServeReps; ++rep) {
     for (const TileId& id : *in_box) {
-      auto bytes = v3_store.RawTileBytes(id);
+      auto bytes = serving.RawTileBytes(id);
       if (!bytes.ok()) return 1;
-      verbatim_bytes += bytes->size();
       sink += static_cast<double>(bytes->data()[0]);
     }
   }
-  double verbatim_s = verbatim_timer.Seconds();
-  TileStore decode_store(TileStore::Options{
-      .tile_size_m = 256.0, .cache_capacity = 0,
-      .format = TileFormat::kLegacyV1});
-  if (!decode_store.Build(map, nthreads).ok()) return 1;
-  size_t decoded_bytes = 0;
-  bench::Timer decode_timer;
-  for (const TileId& id : *in_box) {
-    auto bytes = decode_store.RawTileBytes(id);
-    if (!bytes.ok()) return 1;
-    decoded_bytes += bytes->size();
-    if (!decode_store.LoadTile(id).ok()) return 1;
-  }
-  double decode_s = decode_timer.Seconds();
+  double tiles_served = static_cast<double>(kServeReps * in_box->size());
+  double verbatim_ns = verbatim_timer.Seconds() * 1e9 / tiles_served;
   std::printf(
-      "    bytes served verbatim: %.1f GB/s pinned (%zu tiles/rep); "
-      "decode path %.3f GB/s\n",
-      verbatim_bytes / 1e9 / verbatim_s, in_box->size(),
-      decoded_bytes / 1e9 / decode_s);
-
-  // Determinism gate now covers v3: byte-identical tiles across thread
-  // counts, and EncodeTileV3 round-trips through the view Materialize.
-  TileStore v3_serial(TileStore::Options{.tile_size_m = 256.0,
-                                         .format = TileFormat::kFlatV3});
-  if (!v3_serial.Build(map, 1).ok()) return 1;
-  bool v3_deterministic = v3_serial.RawTilesCopy() == v3_store.RawTilesCopy();
-  std::printf("    v3 bytes 1 vs %zu threads: %s  (sink %.1f)\n\n", nthreads,
-              v3_deterministic ? "identical" : "DIFFER", sink);
+      "    pinned serving: %.0f ns/tile (%zu tiles/rep) vs %.0f us/tile "
+      "cold view  (sink %.1f)\n\n",
+      verbatim_ns, in_box->size(),
+      v3_cold_s * 1e6 / static_cast<double>(in_box->size()), sink);
 
   // --- Durability: checkpoint write, cold recovery, WAL ack overhead. ---
   namespace fsys = std::filesystem;
@@ -312,9 +290,6 @@ int Run() {
   // Determinism is a correctness guarantee and gates the exit code; the
   // speedup ratio is timing-dependent (flaky on loaded or low-core
   // machines), so it only warns.
-  if (cold_s / hot_s < 2.0) {
-    std::printf("  WARNING: hot LoadRegion speedup below 2x target\n");
-  }
   if (v3_speedup < 3.0) {
     std::printf(
         "  WARNING: v3 cold-to-first-geometry speedup below 3x target\n");
@@ -322,15 +297,10 @@ int Run() {
   if (!deterministic) {
     std::printf("  FAIL: Build output differs across thread counts\n");
   }
-  if (!v3_deterministic) {
-    std::printf("  FAIL: v3 tile bytes differ across thread counts\n");
-  }
   if (!recovery_identical) {
     std::printf("  FAIL: recovered checkpoint bytes differ from source\n");
   }
-  return routed && deterministic && v3_deterministic && recovery_identical
-             ? 0
-             : 1;
+  return routed && deterministic && recovery_identical ? 0 : 1;
 }
 
 }  // namespace

@@ -8,7 +8,6 @@
 
 #include "common/thread_pool.h"
 #include "common/trace.h"
-#include "core/serialization.h"
 
 namespace hdmap {
 
@@ -34,42 +33,30 @@ uint64_t TileId::Morton() const {
 }
 
 TileStore::TileStore(const Options& options)
-    : tile_size_(options.tile_size_m),
-      format_(options.format),
-      cache_capacity_(options.cache_capacity),
-      faults_(options.fault_injector) {
+    : tile_size_(options.tile_size_m), faults_(options.fault_injector) {
   if (options.metrics != nullptr) {
     hits_exported_ = options.metrics->GetCounter("tile_store.cache_hits");
     misses_exported_ = options.metrics->GetCounter("tile_store.cache_misses");
-    evictions_exported_ =
-        options.metrics->GetCounter("tile_store.cache_evictions");
   }
 }
 
 TileStore::TileStore(const TileStore& other)
     : tile_size_(other.tile_size_),
-      format_(other.format_),
       tiles_(other.tiles_),
       tile_ids_(other.tile_ids_),
-      cache_capacity_(other.cache_capacity_),
       hits_exported_(other.hits_exported_),
       misses_exported_(other.misses_exported_),
-      evictions_exported_(other.evictions_exported_),
       faults_(other.faults_) {}
 
 TileStore& TileStore::operator=(const TileStore& other) {
   if (this == &other) return *this;
   tile_size_ = other.tile_size_;
-  format_ = other.format_;
   tiles_ = other.tiles_;
   tile_ids_ = other.tile_ids_;
-  cache_capacity_ = other.cache_capacity_;
   hits_exported_ = other.hits_exported_;
   misses_exported_ = other.misses_exported_;
-  evictions_exported_ = other.evictions_exported_;
   faults_ = other.faults_;
   CacheClear();
-  ResetStats();
   return *this;
 }
 
@@ -217,7 +204,7 @@ Status TileStore::Build(const HdMap& map, size_t num_threads) {
   Status assigned = AssignTiles(map, nullptr, &tile_maps, &ids);
   if (!assigned.ok()) return assigned;
 
-  // Phase 2 (parallel): serialize each tile independently. Each task owns
+  // Phase 2 (parallel): encode each tile independently. Each task owns
   // one output slot, so the assembled result — and therefore the stored
   // bytes — do not depend on the thread count.
   std::vector<std::pair<uint64_t, const HdMap*>> work;
@@ -228,7 +215,7 @@ Status TileStore::Build(const HdMap& map, size_t num_threads) {
   std::vector<std::string> blobs(work.size());
   ParallelFor(
       work.size(),
-      [&](size_t i) { blobs[i] = EncodeBlob(*work[i].second); },
+      [&](size_t i) { blobs[i] = EncodeTileV3(*work[i].second); },
       num_threads);
 
   std::unique_lock<std::shared_mutex> lock(tiles_mu_);
@@ -263,7 +250,7 @@ Status TileStore::RebuildTiles(const HdMap& map,
   std::vector<std::string> blobs(work.size());
   ParallelFor(
       work.size(),
-      [&](size_t i) { blobs[i] = EncodeBlob(*work[i].second); },
+      [&](size_t i) { blobs[i] = EncodeTileV3(*work[i].second); },
       num_threads);
 
   {
@@ -291,7 +278,7 @@ Status TileStore::RebuildTiles(const HdMap& map,
 }
 
 void TileStore::PutTile(const TileId& id, const HdMap& tile_map) {
-  PutRawTile(id, EncodeBlob(tile_map));
+  PutRawTile(id, EncodeTileV3(tile_map));
 }
 
 void TileStore::PutRawTile(const TileId& id, std::string bytes) {
@@ -310,18 +297,26 @@ void TileStore::PutPinnedTile(const TileId& id, PinnedBytes bytes) {
   CacheErase(id.Morton());
 }
 
-std::string TileStore::EncodeBlob(const HdMap& tile_map) const {
-  return format_ == TileFormat::kFlatV3 ? EncodeTileV3(tile_map)
-                                        : SerializeMap(tile_map);
+Result<HdMap> TileStore::LoadTile(const TileId& id) const {
+  HDMAP_ASSIGN_OR_RETURN(PinnedTileView tile, GetTileView(id));
+  return tile.view.Materialize();
 }
 
-Result<std::shared_ptr<const HdMap>> TileStore::LoadTileShared(
-    uint64_t key) const {
+Result<PinnedTileView> TileStore::GetTileView(const TileId& id) const {
+  const uint64_t key = id.Morton();
   // Cache hits are deliberately span-free: they are the hot path of every
-  // cached GetRegion (already counted by tile_store.cache_hits), and a
+  // warm GetRegion (already counted by tile_store.cache_hits), and a
   // span's two clock reads would cost more than the lookup itself. Spans
-  // cover the slow path only: miss -> raw load -> decode -> quarantine.
-  if (auto cached = CacheLookup(key)) return cached;
+  // cover the cold path only: load -> decode (validate) -> quarantine.
+  {
+    std::lock_guard<std::mutex> lock(cache_mu_);
+    auto it = view_cache_.find(key);
+    if (it != view_cache_.end()) {
+      if (hits_exported_ != nullptr) hits_exported_->Increment();
+      return it->second;
+    }
+    if (misses_exported_ != nullptr) misses_exported_->Increment();
+  }
   // Child span of whatever request is loading (GetRegion fans these out
   // across ParallelFor workers, so they nest under the request's root).
   TraceSpan span("tile_store.load");
@@ -331,79 +326,11 @@ Result<std::shared_ptr<const HdMap>> TileStore::LoadTileShared(
     // found the corrupt bytes in the first place.
     span.SetStatus(StatusCode::kDataLoss, /*force=*/false);
     return Status::DataLoss("tile key " + std::to_string(key) +
-                            " quarantined after a failed decode");
+                            " quarantined after a failed validation");
   }
-  // Generation first, blob second: if a Put* replaces the bytes after
+  // Generation first, bytes second: if a Put* replaces the bytes after
   // this load, the verdict below is installed against a stale generation
-  // and dropped (worst case a wasted decode, never a poisoned cache).
-  uint64_t gen = mutation_gen_.load(std::memory_order_acquire);
-  Result<HdMap> tile = Status::Internal("tile not decoded");
-  {
-    std::shared_lock<std::shared_mutex> lock(tiles_mu_);
-    std::string_view blob;
-    std::string corrupted;  // Owns injected mutations; empty otherwise.
-    {
-      TraceSpan raw_span("tile_store.raw_load");
-      auto it = tiles_.find(key);
-      if (it == tiles_.end()) {
-        raw_span.SetStatus(StatusCode::kNotFound);
-        span.SetStatus(StatusCode::kNotFound);
-        return Status::NotFound("tile key " + std::to_string(key));
-      }
-      blob = it->second.view();
-      if (faults_ != nullptr &&
-          faults_->MaybeCorrupt(kLoadFaultSite, blob, &corrupted)) {
-        blob = corrupted;
-      }
-    }
-    TraceSpan decode_span("tile_store.decode");
-    tile = DeserializeMap(blob);
-    if (!tile.ok()) decode_span.SetStatus(tile.status().code());
-  }
-  if (!tile.ok()) {
-    span.SetStatus(tile.status().code());
-    // Corrupt bytes stay corrupt: remember the verdict so every later
-    // load fails fast instead of re-running checksum/decode.
-    if (tile.status().code() == StatusCode::kDataLoss) {
-      TraceSpan quarantine_span("tile_store.quarantine");
-      quarantine_span.SetStatus(StatusCode::kDataLoss);
-      Quarantine(key, gen);
-    }
-    return tile.status();
-  }
-  auto shared = std::make_shared<const HdMap>(std::move(tile).value());
-  CacheInsert(key, shared, gen);
-  return shared;
-}
-
-Result<HdMap> TileStore::LoadTile(const TileId& id) const {
-  auto tile = LoadTileShared(id.Morton());
-  if (!tile.ok()) {
-    if (tile.status().code() == StatusCode::kNotFound) {
-      return Status::NotFound("tile (" + std::to_string(id.x) + "," +
-                              std::to_string(id.y) + ")");
-    }
-    return tile.status();
-  }
-  return HdMap(**tile);
-}
-
-Result<PinnedTileView> TileStore::GetTileView(const TileId& id) const {
-  const uint64_t key = id.Morton();
-  {
-    std::lock_guard<std::mutex> lock(cache_mu_);
-    auto it = view_cache_.find(key);
-    if (it != view_cache_.end()) return it->second;
-  }
-  TraceSpan span("tile_store.view");
-  if (IsQuarantined(key)) {
-    span.SetStatus(StatusCode::kDataLoss, /*force=*/false);
-    return Status::DataLoss("tile key " + std::to_string(key) +
-                            " quarantined after a failed decode");
-  }
-  // Same staleness protocol as LoadTileShared: sample the generation
-  // before the bytes, so a view validated against a replaced payload is
-  // never installed over the new payload's state.
+  // and dropped (worst case a wasted validation, never a poisoned cache).
   uint64_t gen = mutation_gen_.load(std::memory_order_acquire);
   PinnedBytes bytes;
   {
@@ -416,26 +343,38 @@ Result<PinnedTileView> TileStore::GetTileView(const TileId& id) const {
     }
     bytes = it->second;  // Pin: valid after the lock drops, forever.
   }
-  if (!IsTileV3(bytes.view())) {
-    // Not corruption — the tile is simply stored in the v1 format (frame
-    // integrity is still checked by the decode path). No quarantine.
-    span.SetStatus(StatusCode::kFailedPrecondition);
-    return Status::FailedPrecondition(
-        "tile (" + std::to_string(id.x) + "," + std::to_string(id.y) +
-        ") is not in the v3 flat format; use LoadTile");
+  // Injected corruption gets its own buffer, so the view below points at
+  // the mutated bytes, and is never cached: the store's bytes are intact.
+  bool injected = false;
+  std::string corrupted;
+  if (faults_ != nullptr &&
+      faults_->MaybeCorrupt(kLoadFaultSite, bytes.view(), &corrupted)) {
+    bytes = PinnedBytes::FromString(std::move(corrupted));
+    injected = true;
   }
-  auto view = TileView::Create(bytes.span());
+  Result<TileView> view = Status::Internal("tile not validated");
+  {
+    TraceSpan decode_span("tile_store.decode");
+    view = TileView::Create(bytes.span());
+    if (!view.ok()) decode_span.SetStatus(view.status().code());
+  }
   if (!view.ok()) {
     span.SetStatus(view.status().code());
+    // Corrupt bytes stay corrupt: remember the verdict so every later
+    // load fails fast instead of re-running checksum and validation.
     if (view.status().code() == StatusCode::kDataLoss) {
+      TraceSpan quarantine_span("tile_store.quarantine");
+      quarantine_span.SetStatus(StatusCode::kDataLoss);
       Quarantine(key, gen);
     }
     return view.status();
   }
   PinnedTileView pinned{std::move(bytes), *view};
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  if (mutation_gen_.load(std::memory_order_relaxed) == gen) {
-    view_cache_.emplace(key, pinned);
+  if (!injected) {
+    std::lock_guard<std::mutex> lock(cache_mu_);
+    if (mutation_gen_.load(std::memory_order_relaxed) == gen) {
+      view_cache_.emplace(key, pinned);
+    }
   }
   return pinned;
 }
@@ -522,44 +461,62 @@ Result<HdMap> TileStore::StitchTiles(const std::vector<TileId>& tile_list,
                                      RegionReport* report,
                                      size_t num_threads,
                                      RegionReadMode mode) const {
-  // Fan out: deserialize (or fetch from cache) every tile concurrently.
-  // Each task writes its own slot; stitching below is sequential in tile
+  // Fan out: view (validating cold tiles) every tile concurrently. Each
+  // task writes its own slot; stitching below is sequential in tile
   // order, so the stitched map is independent of thread timing.
-  std::vector<Result<std::shared_ptr<const HdMap>>> loaded(
+  std::vector<Result<PinnedTileView>> views(
       tile_list.size(), Status::Internal("tile not loaded"));
   ParallelFor(
-      tile_list.size(),
-      [&](size_t i) { loaded[i] = LoadTileShared(tile_list[i].Morton()); },
+      tile_list.size(), [&](size_t i) { views[i] = GetTileView(tile_list[i]); },
       num_threads);
 
   TraceSpan stitch_span("tile_store.stitch");
   std::vector<TileId> corrupt_tiles;
   HdMap region;
-  for (size_t i = 0; i < loaded.size(); ++i) {
-    Result<std::shared_ptr<const HdMap>>& tile_result = loaded[i];
-    if (!tile_result.ok()) {
-      if (mode == RegionReadMode::kStrict) return tile_result.status();
-      // Degraded mode: the tile is already quarantined by LoadTileShared;
+  for (size_t i = 0; i < views.size(); ++i) {
+    if (!views[i].ok()) {
+      if (mode == RegionReadMode::kStrict) return views[i].status();
+      // Degraded mode: the tile is already quarantined by GetTileView;
       // record it and keep stitching the survivors. (tile_list is in
       // Morton order, so this list is deterministic too.)
       corrupt_tiles.push_back(tile_list[i]);
       continue;
     }
-    const HdMap& tile = **tile_result;
-    for (const auto& [id, lm] : tile.landmarks()) {
-      (void)region.AddLandmark(lm);  // Duplicates across tiles are fine.
+    // Each element is materialized once, straight from the validated
+    // view into the region; border duplicates already stitched from an
+    // earlier tile are skipped by id before anything is built. Validation
+    // guarantees every Add* below succeeds (unique ids, >= 2 centerline
+    // points).
+    const TileView& tile = views[i]->view;
+    for (size_t j = 0; j < tile.num_landmarks(); ++j) {
+      LandmarkView lm = tile.landmark(j);
+      if (region.FindLandmark(lm.id()) == nullptr) {
+        (void)region.AddLandmark(lm.Materialize());
+      }
     }
-    for (const auto& [id, lf] : tile.line_features()) {
-      (void)region.AddLineFeature(lf);
+    for (size_t j = 0; j < tile.num_line_features(); ++j) {
+      LineFeatureView lf = tile.line_feature(j);
+      if (region.FindLineFeature(lf.id()) == nullptr) {
+        (void)region.AddLineFeature(lf.Materialize());
+      }
     }
-    for (const auto& [id, af] : tile.area_features()) {
-      (void)region.AddAreaFeature(af);
+    for (size_t j = 0; j < tile.num_area_features(); ++j) {
+      AreaFeatureView af = tile.area_feature(j);
+      if (region.FindAreaFeature(af.id()) == nullptr) {
+        (void)region.AddAreaFeature(af.Materialize());
+      }
     }
-    for (const auto& [id, ll] : tile.lanelets()) {
-      (void)region.AddLanelet(ll);
+    for (size_t j = 0; j < tile.num_lanelets(); ++j) {
+      LaneletView ll = tile.lanelet(j);
+      if (region.FindLanelet(ll.id()) == nullptr) {
+        (void)region.AddLanelet(ll.Materialize());
+      }
     }
-    for (const auto& [id, reg] : tile.regulatory_elements()) {
-      (void)region.AddRegulatoryElement(reg);
+    for (size_t j = 0; j < tile.num_regulatory_elements(); ++j) {
+      RegulatoryElementView reg = tile.regulatory_element(j);
+      if (region.FindRegulatoryElement(reg.id()) == nullptr) {
+        (void)region.AddRegulatoryElement(reg.Materialize());
+      }
     }
   }
 
@@ -582,74 +539,18 @@ size_t TileStore::NumQuarantined() const {
   return quarantined_.size();
 }
 
-TileStoreStats TileStore::stats() const {
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  return stats_;
-}
-
-void TileStore::ResetStats() {
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  stats_ = TileStoreStats{};
-}
-
-std::shared_ptr<const HdMap> TileStore::CacheLookup(uint64_t key) const {
-  // A capacity-0 store has no cache at all; counting its loads as misses
-  // would make stats read as a malfunctioning cache rather than a
-  // disabled one.
-  if (cache_capacity_ == 0) return nullptr;
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  auto it = cache_.find(key);
-  if (it == cache_.end()) {
-    ++stats_.cache_misses;
-    if (misses_exported_ != nullptr) misses_exported_->Increment();
-    return nullptr;
-  }
-  ++stats_.cache_hits;
-  if (hits_exported_ != nullptr) hits_exported_->Increment();
-  lru_.splice(lru_.begin(), lru_, it->second.second);  // Move to front.
-  return it->second.first;
-}
-
-void TileStore::CacheInsert(uint64_t key, std::shared_ptr<const HdMap> map,
-                            uint64_t gen) const {
-  if (cache_capacity_ == 0) return;
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  // A Put* replaced some tile's bytes since this decode started; the
-  // decoded map may be of the old payload, so don't cache it.
-  if (mutation_gen_.load(std::memory_order_relaxed) != gen) return;
-  auto it = cache_.find(key);
-  if (it != cache_.end()) {
-    // Another thread deserialized the same tile first; keep its entry.
-    return;
-  }
-  while (cache_.size() >= cache_capacity_) {
-    cache_.erase(lru_.back());
-    lru_.pop_back();
-    ++stats_.cache_evictions;
-    if (evictions_exported_ != nullptr) evictions_exported_->Increment();
-  }
-  lru_.push_front(key);
-  cache_.emplace(key, std::make_pair(std::move(map), lru_.begin()));
-}
-
 void TileStore::CacheErase(uint64_t key) {
   std::lock_guard<std::mutex> lock(cache_mu_);
-  // Invalidate any in-flight decode of the old bytes along with the
+  // Invalidate any in-flight validation of the old bytes along with the
   // stored verdicts; new bytes get a fresh one.
   mutation_gen_.fetch_add(1, std::memory_order_release);
   quarantined_.erase(key);
   view_cache_.erase(key);
-  auto it = cache_.find(key);
-  if (it == cache_.end()) return;
-  lru_.erase(it->second.second);
-  cache_.erase(it);
 }
 
 void TileStore::CacheClear() {
   std::lock_guard<std::mutex> lock(cache_mu_);
   mutation_gen_.fetch_add(1, std::memory_order_release);
-  cache_.clear();
-  lru_.clear();
   quarantined_.clear();
   view_cache_.clear();
 }
@@ -661,8 +562,8 @@ bool TileStore::IsQuarantined(uint64_t key) const {
 
 void TileStore::Quarantine(uint64_t key, uint64_t gen) const {
   std::lock_guard<std::mutex> lock(cache_mu_);
-  // Same staleness rule as CacheInsert: never quarantine bytes that were
-  // replaced while this (failed) decode was in flight.
+  // Same staleness rule as the view cache: never quarantine bytes that
+  // were replaced while this (failed) validation was in flight.
   if (mutation_gen_.load(std::memory_order_relaxed) != gen) return;
   quarantined_.insert(key);
 }

@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -21,26 +20,7 @@
 #include "core/pinned_bytes.h"
 #include "core/tile_view.h"
 
-// Which encoder Build/PutTile use when Options::format is left at its
-// default. CMake sets this from -DHDMAP_FORMAT_V3=ON/OFF (the OFF preset
-// is the escape hatch while v3 soaks); both encoders are always compiled
-// and both decoders always accept either format.
-#ifndef HDMAP_FORMAT_V3_DEFAULT
-#define HDMAP_FORMAT_V3_DEFAULT 1
-#endif
-
 namespace hdmap {
-
-/// Serialization format for tiles written by Build/RebuildTiles/PutTile.
-/// Reads are format-agnostic: DeserializeMap dispatches on the payload
-/// magic, so a store can hold a mix (e.g. right after a format rollout).
-enum class TileFormat {
-  /// v1 streaming encoding (core/serialization.h): decode-everything.
-  kLegacyV1,
-  /// v3 offset-table layout (core/tile_view.h): the framed bytes are the
-  /// queryable representation; GetTileView serves them without decoding.
-  kFlatV3,
-};
 
 /// Tile coordinate in a uniform square tiling of the plane.
 struct TileId {
@@ -59,14 +39,6 @@ struct TileId {
   }
 };
 
-/// Serving counters for the deserialized-tile cache. Hits mean LoadTile /
-/// LoadRegion skipped DeserializeMap entirely.
-struct TileStoreStats {
-  size_t cache_hits = 0;
-  size_t cache_misses = 0;
-  size_t cache_evictions = 0;
-};
-
 /// Post-stitch integrity findings from LoadRegion. A regulatory element is
 /// stitched into the region whenever any tile carrying one of its lanelets
 /// is loaded, so elements near the region boundary may reference lanelets
@@ -75,20 +47,20 @@ struct TileStoreStats {
 struct RegionReport {
   /// (regulatory element id, unresolvable lanelet id) pairs.
   std::vector<std::pair<ElementId, ElementId>> unresolved_regulatory_refs;
-  /// Tiles that failed checksum/decode and were quarantined out of the
+  /// Tiles that failed validation and were quarantined out of the
   /// stitch (partial mode only; in strict mode the load fails instead).
   /// Sorted by Morton key, i.e. deterministic across thread counts.
   std::vector<TileId> corrupt_tiles;
 };
 
-/// How LoadRegion treats a tile that fails checksum/decode.
+/// How LoadRegion treats a tile that fails validation.
 enum class RegionReadMode {
   /// Serve what survives: quarantine the corrupt tile (skip it, count it
   /// in RegionReport::corrupt_tiles, never retry it into the cache) and
   /// stitch the rest. The production default — one bad tile must not
   /// take down a whole region.
   kAllowPartial,
-  /// Fail the whole load with the tile's decode error.
+  /// Fail the whole load with the tile's validation error.
   kStrict,
 };
 
@@ -96,25 +68,31 @@ enum class RegionReadMode {
 /// incremental update in production HD-map services; enables the
 /// partitioned update workloads of Pannen et al. [44] and Qi et al. [47]).
 ///
-/// Serving hot path: deserialized tiles are kept in a bounded LRU cache,
-/// so repeated LoadTile/LoadRegion calls over hot tiles skip
-/// DeserializeMap. Build and LoadRegion fan work out across threads; the
+/// One tile format, one read path: every tile is stored as a framed v3
+/// blob (core/tile_view.h), and every read goes through a validated
+/// TileView. A tile's bytes are CRC-checked and structurally validated
+/// once per payload generation; the resulting view is cached, so repeated
+/// GetTileView/LoadTile/LoadRegion calls over a tile skip validation and
+/// LoadRegion materializes each element straight from the views into the
+/// stitched region. Build and LoadRegion fan work out across threads; the
 /// serialized output of Build is byte-identical regardless of thread
 /// count (element-to-tile assignment is sequential and deterministic,
-/// only the per-tile serialization is parallel).
+/// only the per-tile encoding is parallel).
 ///
 /// Corruption resilience: tile payloads travel inside a CRC32 frame
-/// (core/wire_frame.h), so a truncated or bit-flipped blob fails decode
-/// with kDataLoss instead of producing a silently wrong tile. A failed
-/// tile is quarantined (fail-fast on later loads, never cached) until its
-/// bytes are replaced; LoadRegion can stitch around it (kAllowPartial).
+/// (core/wire_frame.h), so a truncated or bit-flipped blob fails
+/// validation with kDataLoss instead of producing a silently wrong tile;
+/// so do bytes that are not a v3 payload at all (e.g. a v1 blob ingested
+/// through PutRawTile or a checkpoint). A failed tile is quarantined
+/// (fail-fast on later loads, never cached) until its bytes are replaced;
+/// LoadRegion can stitch around it (kAllowPartial).
 ///
 /// Thread safety: concurrent const calls (LoadTile/LoadRegion/TilesInBox)
-/// are safe with respect to the cache and quarantine set. Per-tile
+/// are safe with respect to the view cache and quarantine set. Per-tile
 /// replacement (PutTile/PutRawTile) is additionally safe against
 /// concurrent readers: blob access is guarded by a shared mutex, and a
 /// store-wide mutation generation keeps a reader that raced an old blob
-/// from installing a stale cache entry or quarantine verdict over the new
+/// from installing a stale cached view or quarantine verdict over the new
 /// bytes — the ingestion path can repair a quarantined tile while other
 /// threads keep serving. Wholesale mutations (Build/RebuildTiles) and
 /// copies still require external serialization against readers and other
@@ -125,26 +103,22 @@ class TileStore {
   struct Options {
     /// Edge length of one square tile, meters.
     double tile_size_m = 256.0;
-    /// Max deserialized tiles kept in the LRU cache; 0 disables caching.
-    size_t cache_capacity = 256;
-    /// When set, cache hit/miss/eviction counters are additionally
-    /// exported through this registry ("tile_store.cache_*"). Counters
-    /// are cumulative across stores sharing a registry — copies of a
-    /// store (e.g. successive MapSnapshot versions) keep feeding the same
-    /// series. The registry must outlive the store.
+    /// When set, validated-view cache hit/miss counters are exported
+    /// through this registry ("tile_store.cache_hits/misses"; one lookup
+    /// per tile read). Counters are cumulative across stores sharing a
+    /// registry — copies of a store (e.g. successive MapSnapshot
+    /// versions) keep feeding the same series. The registry must outlive
+    /// the store.
     MetricsRegistry* metrics = nullptr;
     /// When set, every tile load passes through this injector at site
     /// "tile_store.load" (see common/fault_injection.h), so tests and
     /// benches can corrupt serialized tiles on demand with reproducible
     /// seeds. Must outlive the store; null disables injection.
     FaultInjector* fault_injector = nullptr;
-    /// Encoder used for tiles this store serializes itself. Defaults to
-    /// the build-wide choice (-DHDMAP_FORMAT_V3).
-    TileFormat format = HDMAP_FORMAT_V3_DEFAULT ? TileFormat::kFlatV3
-                                                : TileFormat::kLegacyV1;
   };
 
-  /// FaultInjector site name instrumenting LoadTile/LoadRegion blob reads.
+  /// FaultInjector site name instrumenting every cold tile read
+  /// (GetTileView, LoadTile, LoadRegion, LoadAll).
   static constexpr const char* kLoadFaultSite = "tile_store.load";
 
   /// Any single box (element bounding box in Build, query box in
@@ -157,7 +131,7 @@ class TileStore {
   explicit TileStore(const Options& options);
 
   /// Copies configuration and serialized tiles; the copy starts with a
-  /// cold cache and zeroed stats (but keeps the metrics binding). This is
+  /// cold view cache (but keeps the metrics binding). This is
   /// the copy-on-write step of snapshot publishing: tile bytes are
   /// immutable and reference-counted (PinnedBytes), so the copy shares
   /// them without duplicating a byte.
@@ -175,31 +149,31 @@ class TileStore {
   /// Splits `map` into tiles: each element is assigned to every tile its
   /// bounding box intersects (border elements are duplicated, as in
   /// production tiling; a regulatory element rides with *every* lanelet
-  /// it references). Per-tile serialization is spread over `num_threads`
+  /// it references). Per-tile encoding is spread over `num_threads`
   /// threads (0 = hardware concurrency). Replaces previous content and
-  /// drops the cache. Fails with kInvalidArgument when an element's box
+  /// drops the view cache. Fails with kInvalidArgument when an element's box
   /// covers more than kMaxTilesPerBox tiles.
   Status Build(const HdMap& map, size_t num_threads = 0);
 
   /// Re-derives only the given tiles from `map`, leaving every other
   /// tile's serialized bytes untouched: the incremental-update half of
   /// Build for a patch whose touched-tile set is known. A requested tile
-  /// that ends up with no content is erased; every requested tile's cache
-  /// entry is invalidated. Postcondition: if `tiles` covers every tile
+  /// that ends up with no content is erased; every requested tile's cached
+  /// view is invalidated. Postcondition: if `tiles` covers every tile
   /// whose content changed, the store is byte-identical to a full
   /// Build(map).
   Status RebuildTiles(const HdMap& map, const std::vector<TileId>& tiles,
                       size_t num_threads = 0);
 
-  /// Replaces one tile's payload with the serialization of `tile_map`
-  /// and invalidates that tile's cache and quarantine entries.
+  /// Replaces one tile's payload with the v3 encoding of `tile_map`
+  /// and invalidates that tile's cached view and quarantine entry.
   void PutTile(const TileId& id, const HdMap& tile_map);
 
   /// Installs `bytes` verbatim as tile `id`'s payload — the ingestion
   /// path for tiles received over the wire from another store or service.
-  /// Nothing is validated here; corruption surfaces as kDataLoss when the
-  /// tile is first loaded (frame checksum). Invalidates the tile's cache
-  /// and quarantine entries.
+  /// Nothing is validated here; corruption (or a payload that is not v3)
+  /// surfaces as kDataLoss when the tile is first read. Invalidates the
+  /// tile's cached view and quarantine entry.
   void PutRawTile(const TileId& id, std::string bytes);
 
   /// Same as PutRawTile but zero-copy: `bytes` may be backed by an
@@ -207,19 +181,17 @@ class TileStore {
   /// rather than copying it onto the heap.
   void PutPinnedTile(const TileId& id, PinnedBytes bytes);
 
-  /// Deserializes a tile (or copies it out of the cache); kNotFound for
-  /// absent tiles.
+  /// The tile materialized into a heap HdMap (GetTileView +
+  /// TileView::Materialize); kNotFound for absent tiles.
   Result<HdMap> LoadTile(const TileId& id) const;
 
-  /// Zero-copy read of one v3 tile: validates the framed bytes once per
-  /// payload generation (CRC + structural pass, cached like decoded
-  /// tiles) and returns in-place accessors over them — no allocation, no
-  /// decode. The returned view stays valid for its own lifetime even if
-  /// the tile is replaced or the store destroyed (the PinnedTileView
-  /// holds the pin). kNotFound for absent tiles, kDataLoss (and
-  /// quarantine, exactly like LoadTile) for corrupt ones, and
-  /// kFailedPrecondition for tiles stored in the legacy v1 format —
-  /// fall back to LoadTile for those.
+  /// Zero-copy read of one tile — the store's only tile read path:
+  /// validates the framed bytes once per payload generation (CRC +
+  /// structural pass, then cached) and returns in-place accessors over
+  /// them — no allocation, no decode. The returned view stays valid for
+  /// its own lifetime even if the tile is replaced or the store destroyed
+  /// (the PinnedTileView holds the pin). kNotFound for absent tiles;
+  /// kDataLoss, and quarantine, for corrupt or non-v3 ones.
   Result<PinnedTileView> GetTileView(const TileId& id) const;
 
   /// The tile's serialized framed bytes, pinned — the serve-verbatim
@@ -240,13 +212,14 @@ class TileStore {
   std::vector<TileId> AllTiles() const;
 
   /// Loads and stitches all tiles intersecting `box` into one map
-  /// (duplicated border elements are inserted once). Tiles deserialize
-  /// concurrently on `num_threads` threads (0 = hardware concurrency);
-  /// stitching is sequential in tile order, so the result is
-  /// deterministic. When `report` is non-null it receives post-stitch
+  /// (duplicated border elements are materialized once, from the first
+  /// tile in Morton order that carries them). Tile views are fetched and
+  /// validated concurrently on `num_threads` threads (0 = hardware
+  /// concurrency); stitching is sequential in tile order, so the result
+  /// is deterministic. When `report` is non-null it receives post-stitch
   /// referential-integrity findings and the quarantined-tile list (see
   /// RegionReport). `mode` selects degraded-mode behaviour for tiles
-  /// that fail checksum/decode: kAllowPartial (default) stitches the
+  /// that fail validation: kAllowPartial (default) stitches the
   /// survivors and reports the corrupt tiles, kStrict fails the load.
   Result<HdMap> LoadRegion(
       const Aabb& box, RegionReport* report = nullptr,
@@ -255,21 +228,14 @@ class TileStore {
 
   /// Loads and stitches every tile in the store — the recovery path's
   /// whole-map read, with no query box and hence no kMaxTilesPerBox cap.
-  /// Always strict: any tile failing checksum/decode fails the whole
+  /// Always strict: any tile failing validation fails the whole
   /// load (a recovered snapshot must be fully intact before it serves).
   Result<HdMap> LoadAll(size_t num_threads = 0) const;
 
-  /// Tiles currently quarantined after a failed checksum/decode. A
+  /// Tiles currently quarantined after a failed validation. A
   /// quarantined tile is reported instead of retried until its bytes are
   /// replaced (Build/RebuildTiles/PutTile/PutRawTile).
   size_t NumQuarantined() const;
-
-  /// Snapshot of the cache counters (thread-safe).
-  TileStoreStats stats() const;
-  void ResetStats();
-
-  size_t cache_capacity() const { return cache_capacity_; }
-  TileFormat format() const { return format_; }
 
   /// Copy of every serialized blob, keyed by Morton code — byte-equality
   /// checks in tests/benches and other whole-store sweeps. Thread-safe
@@ -296,37 +262,25 @@ class TileStore {
                      std::map<uint64_t, HdMap>* tile_maps,
                      std::map<uint64_t, TileId>* ids) const;
 
-  /// Serializes one tile's map in the store's configured format.
-  std::string EncodeBlob(const HdMap& tile_map) const;
-
-  /// Cache-aware tile load; returns a shared snapshot that must only be
-  /// read (never queried through the lazy-index API concurrently). A
-  /// kDataLoss decode failure quarantines the tile: later loads fail fast
-  /// without re-decoding until the tile's bytes are replaced.
-  Result<std::shared_ptr<const HdMap>> LoadTileShared(uint64_t key) const;
-
-  /// Loads `tile_list` concurrently and stitches the survivors in tile
-  /// order (deterministic): the shared body of LoadRegion and LoadAll.
+  /// Views `tile_list` concurrently and materializes the survivors into
+  /// one region in tile order (deterministic): the shared body of
+  /// LoadRegion and LoadAll.
   Result<HdMap> StitchTiles(const std::vector<TileId>& tile_list,
                             RegionReport* report, size_t num_threads,
                             RegionReadMode mode) const;
 
-  std::shared_ptr<const HdMap> CacheLookup(uint64_t key) const;
-  /// Installs a decode outcome (cache entry on success, quarantine on
-  /// kDataLoss) observed at mutation generation `gen`; dropped when a
-  /// Put* replaced the bytes since, so a racing reader cannot poison the
-  /// new payload's state with the old payload's verdict.
-  void CacheInsert(uint64_t key, std::shared_ptr<const HdMap> map,
-                   uint64_t gen) const;
+  /// Quarantines a tile whose validation failed at mutation generation
+  /// `gen`; dropped when a Put* replaced the bytes since, so a racing
+  /// reader cannot poison the new payload's state with the old payload's
+  /// verdict (GetTileView applies the same rule to cached views).
   void Quarantine(uint64_t key, uint64_t gen) const;
-  /// Drops one tile's derived load state: cache entry and quarantine.
+  /// Drops one tile's derived read state: cached view and quarantine.
   void CacheErase(uint64_t key);
-  /// Drops all derived load state: cache and quarantine set.
+  /// Drops all derived read state: view cache and quarantine set.
   void CacheClear();
   bool IsQuarantined(uint64_t key) const;
 
   double tile_size_;
-  TileFormat format_;
   // Blob map, guarded by tiles_mu_ for per-tile replacement vs reads
   // (wholesale Build/assignment still needs external serialization).
   // Blobs are immutable PinnedBytes: replacing a tile swaps the map
@@ -338,32 +292,23 @@ class TileStore {
   // lets in-flight loads detect that their verdict is stale.
   mutable std::atomic<uint64_t> mutation_gen_{0};
 
-  // Bounded LRU cache of deserialized tiles, keyed by Morton code.
-  // lru_ front = most recently used; entries hold their lru_ iterator.
-  size_t cache_capacity_;
   mutable std::mutex cache_mu_;
-  mutable std::list<uint64_t> lru_;
-  mutable std::unordered_map<
-      uint64_t, std::pair<std::shared_ptr<const HdMap>,
-                          std::list<uint64_t>::iterator>>
-      cache_;
-  mutable TileStoreStats stats_;
 
-  // Tiles whose payload failed checksum/decode, keyed by Morton code;
-  // guarded by cache_mu_ (set during const loads, hence mutable).
+  // Tiles whose payload failed validation, keyed by Morton code; guarded
+  // by cache_mu_ (set during const loads, hence mutable).
   mutable std::set<uint64_t> quarantined_;
 
-  // Validated-once views of v3 tiles, keyed by Morton code; guarded by
-  // cache_mu_ and invalidated with the decoded cache (CacheErase /
-  // CacheClear). Entries are tiny (a pin plus section pointers) and
-  // bounded by the tile count, so no LRU. The pinned bytes are the
-  // store's own blobs — pinning them costs nothing extra.
+  // Validated-once views, keyed by Morton code; guarded by cache_mu_ and
+  // invalidated by CacheErase/CacheClear. Entries are tiny (a pin plus
+  // section pointers) and bounded by the tile count, so no eviction. The
+  // pinned bytes are the store's own blobs — pinning them costs nothing
+  // extra.
   mutable std::unordered_map<uint64_t, PinnedTileView> view_cache_;
 
-  // Optional registry export of the cache counters (null when unbound).
+  // Optional registry export of the view-cache counters (null when
+  // unbound).
   Counter* hits_exported_ = nullptr;
   Counter* misses_exported_ = nullptr;
-  Counter* evictions_exported_ = nullptr;
 
   // Optional fault-injection seam for tile loads (null when disabled).
   FaultInjector* faults_ = nullptr;

@@ -452,7 +452,16 @@ Result<TileView> TileView::Create(std::span<const uint8_t> bytes,
         return SectionError(s, "record " + std::to_string(i) +
                                    " size disagrees with its counts");
       }
+      // The HdMap::Add* rules (id != 0, lanelet centerline >= 2 points),
+      // so a validated view always materializes.
+      if (s == 3 && LoadU32(rec + 56) < 2) {
+        return SectionError(s, "lanelet record " + std::to_string(i) +
+                                   " has fewer than 2 centerline points");
+      }
       int64_t id = LoadI64(rec);
+      if (id == kInvalidId) {
+        return SectionError(s, "record " + std::to_string(i) + " has id 0");
+      }
       if (id <= prev_id) {
         return SectionError(s, "ids not strictly ascending at record " +
                                    std::to_string(i));

@@ -43,9 +43,10 @@ namespace hdmap {
 // TileView::Create validates the whole structure in one O(elements)
 // header pass — section contiguity, offset monotonicity, exact record
 // sizes against the counts in each record's fixed header, strictly
-// ascending ids per section — and fails closed (kDataLoss) on any
-// violation. After Create succeeds, every accessor is a bounds-safe
-// pointer offset: no per-read validation, no allocation, no copy.
+// ascending ids per section, at least 2 centerline points per lanelet —
+// and fails closed (kDataLoss) on any violation. After Create succeeds,
+// every accessor is a bounds-safe pointer offset and Materialize cannot
+// fail: no per-read validation, no allocation, no copy.
 // ---------------------------------------------------------------------------
 
 /// Payload magic "HDM3" (little-endian), distinct from the v1 full

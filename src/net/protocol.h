@@ -64,8 +64,8 @@ namespace hdmap {
 ///
 ///   meta: u8 code | u8 status | u64 request_id | u64 version
 ///   payload by code:
-///     kOk           framed SerializeMap bytes (region or tile), or empty
-///                   (Ping)
+///     kOk           framed v3 tile bytes (region or tile; EncodeTileV3),
+///                   or empty (Ping)
 ///     kNotModified  empty — the client's have_version is current
 ///     kBusy         empty — admission control shed the request; retry
 ///     kDelta        framed patch sequence (EncodeDeltaPayload): apply in

@@ -122,7 +122,8 @@ MapService::MapService(Options options) : options_(std::move(options)) {
   metrics_->SetHelp("map_service.snapshot_age_seconds",
                     "Seconds since the serving snapshot published");
   metrics_->SetHelp("tile_store.cache_hits",
-                    "Decoded-tile cache hits on the serving snapshot");
+                    "Validated-view cache hits on the serving snapshot "
+                    "(one lookup per tile read)");
   metrics_->SetHelp("wal.appends", "Durable patch write-ahead-log appends");
   metrics_->SetHelp("storage.checkpoint_write",
                     "Full snapshot checkpoint write latency");
@@ -774,8 +775,10 @@ Result<HdMap> MapService::GetRegion(const Aabb& box,
   // didn't ask for one.
   RegionReport local_report;
   RegionReport* rep = report != nullptr ? report : &local_report;
+  // One thread per stitch: region requests already run on many reader
+  // threads, so per-request fan-out would oversubscribe the host.
   auto region = snap->tiles.LoadRegion(
-      box, rep, options_.read_threads,
+      box, rep, /*num_threads=*/1,
       options_.strict_reads ? RegionReadMode::kStrict
                             : RegionReadMode::kAllowPartial);
   StatusCode code = StatusCode::kOk;

@@ -105,8 +105,9 @@ std::string_view ServiceHealthToString(ServiceHealth health);
 ///
 /// Observability: every endpoint records latency into a MetricsRegistry
 /// ("map_service.*" latency histograms, request/error counters,
-/// snapshot version/age gauges), and the tile cache exports its counters
-/// ("tile_store.cache_*") through the same registry.
+/// snapshot version/age gauges), and the tile store exports its
+/// validated-view cache counters ("tile_store.cache_*") through the same
+/// registry.
 class MapService {
  public:
   /// Construction knobs (same pattern as TileStore::Options: new knobs
@@ -120,10 +121,6 @@ class MapService {
     /// Threads for publish-side tile (re)serialization; 0 = hardware
     /// concurrency.
     size_t publish_threads = 0;
-    /// Threads one GetRegion stitch may use. Default 1: region requests
-    /// already run on many reader threads, so per-request fan-out would
-    /// oversubscribe the serving host.
-    size_t read_threads = 1;
     /// External metrics registry; null means the service owns one
     /// (accessible via metrics()). Must outlive the service when set.
     MetricsRegistry* metrics = nullptr;
@@ -304,8 +301,7 @@ class MapService {
   /// across snapshot swaps and store teardown — a caller may hold it for
   /// as long as it reads, with no coordination against publishes.
   /// `version` reports the snapshot the view came from.
-  /// kFailedPrecondition before Init or for tiles stored in the legacy
-  /// v1 format (fall back to GetTile).
+  /// kFailedPrecondition before Init.
   Result<VersionedTileView> GetTileView(const TileId& id) const;
 
   /// Lane-level match against the current snapshot's stitched map.

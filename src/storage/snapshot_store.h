@@ -49,9 +49,8 @@ struct MappedCheckpoint {
   /// Morton key -> tile coordinates (from the manifest).
   std::map<uint64_t, TileId> tile_ids;
 
-  /// Zero-copy view of one tile. kNotFound for unknown keys,
-  /// kFailedPrecondition for tiles checkpointed in the legacy v1 format
-  /// (materialize those via DeserializeMap on the pinned bytes).
+  /// Zero-copy view of one tile. kNotFound for unknown keys, kDataLoss
+  /// for bytes that are not a valid v3 tile.
   Result<PinnedTileView> View(uint64_t morton) const;
 };
 
@@ -115,9 +114,10 @@ class SnapshotStore {
   std::vector<uint64_t> ListCheckpoints() const;
 
   /// Loads and fully validates one checkpoint: manifest frame, per-tile
-  /// recorded lengths, and every tile's own frame/decode must pass.
+  /// recorded lengths, and every tile's own frame and v3 validation
+  /// must pass.
   /// kDataLoss on any mismatch. `tile_options` seeds the returned
-  /// TileStore's serving knobs (cache size, metrics, fault injector); the
+  /// TileStore's serving knobs (metrics, fault injector); the
   /// tile size always comes from the manifest.
   Result<RecoveredSnapshot> LoadCheckpoint(
       uint64_t version, const TileStore::Options& tile_options) const;

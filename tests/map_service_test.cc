@@ -68,7 +68,6 @@ TEST(MapServiceTest, InitServesAllEndpoints) {
 
 TEST(MapServiceTest, GetTileViewServesAndPinsAcrossPublish) {
   MapService::Options opt = SmallTileOptions();
-  opt.tile_store.format = TileFormat::kFlatV3;  // Views need v3 bytes.
   MapService service(opt);
   EXPECT_EQ(service.GetTileView(TileId{0, 0}).status().code(),
             StatusCode::kFailedPrecondition);  // Before Init.

@@ -443,16 +443,11 @@ TEST(NetServerTest, ConditionalFetchDeltaMatchesLocalApply) {
   ASSERT_TRUE(ApplyPatch(*wire_patch, &local.value()).ok());
 
   // The locally patched map matches a fresh full fetch of version 2 —
-  // byte-identical once re-encoded in whichever region format the
-  // server's store uses (v3 by default, v1 under -DHDMAP_FORMAT_V3=OFF).
+  // byte-identical once re-encoded as the server encodes regions (v3).
   auto fresh = h.client.GetRegion(box);
   ASSERT_TRUE(fresh.ok());
   ASSERT_EQ(fresh->code, NetResponseCode::kOk);
-  std::string reencoded =
-      h.service.snapshot()->tiles.format() == TileFormat::kFlatV3
-          ? EncodeTileV3(*local)
-          : SerializeMap(*local);
-  EXPECT_EQ(reencoded, fresh->payload);
+  EXPECT_EQ(EncodeTileV3(*local), fresh->payload);
   EXPECT_EQ(local->FindLandmark(sign)->position,
             h.service.snapshot()->map.FindLandmark(sign)->position);
 }

@@ -50,10 +50,8 @@ class ScopedTempDir {
   fs::path path_;
 };
 
-TileStore BuildTiles(const HdMap& map, double tile_size = 100.0,
-                     TileFormat format = TileStore::Options{}.format) {
-  TileStore store(
-      TileStore::Options{.tile_size_m = tile_size, .format = format});
+TileStore BuildTiles(const HdMap& map, double tile_size = 100.0) {
+  TileStore store(TileStore::Options{.tile_size_m = tile_size});
   EXPECT_TRUE(store.Build(map).ok());
   return store;
 }
@@ -274,7 +272,7 @@ TEST(SnapshotStoreTest, WriteFailureLeavesPreviousStateServable) {
 TEST(SnapshotStoreTest, OpenMappedServesViewsZeroCopy) {
   ScopedTempDir dir("mmap_open");
   HdMap world = StraightRoad(500.0);
-  TileStore tiles = BuildTiles(world, 100.0, TileFormat::kFlatV3);
+  TileStore tiles = BuildTiles(world, 100.0);
   SnapshotStore store({.data_dir = dir.str(), .fsync = FsyncMode::kNever});
   ASSERT_TRUE(store.WriteCheckpoint(tiles, 7, 123).ok());
 
@@ -319,7 +317,7 @@ TEST(SnapshotStoreTest, OpenMappedDetectsCorruptionAtOpen) {
 TEST(SnapshotStoreTest, MappedViewsSurviveRetentionDelete) {
   ScopedTempDir dir("mmap_retention");
   HdMap world = StraightRoad(500.0);
-  TileStore tiles = BuildTiles(world, 100.0, TileFormat::kFlatV3);
+  TileStore tiles = BuildTiles(world, 100.0);
   SnapshotStore store(
       {.data_dir = dir.str(), .fsync = FsyncMode::kNever, .retention = 1});
   ASSERT_TRUE(store.WriteCheckpoint(tiles, 1, 10).ok());
@@ -351,24 +349,36 @@ TEST(SnapshotStoreTest, MappedViewsSurviveRetentionDelete) {
   EXPECT_GE(lanelets_seen, world.lanelets().size());
 }
 
-TEST(SnapshotStoreTest, OpenMappedLegacyV1TilesRefuseViews) {
-  ScopedTempDir dir("mmap_v1");
+TEST(SnapshotStoreTest, CheckpointedV1TilesFailClosed) {
+  ScopedTempDir dir("ckpt_v1");
   HdMap world = StraightRoad(300.0);
-  TileStore tiles(TileStore::Options{.tile_size_m = 100.0,
-                                     .format = TileFormat::kLegacyV1});
-  ASSERT_TRUE(tiles.Build(world).ok());
+  TileStore tiles = BuildTiles(world);
   SnapshotStore store({.data_dir = dir.str(), .fsync = FsyncMode::kNever});
   ASSERT_TRUE(store.WriteCheckpoint(tiles, 1, 10).ok());
 
-  // The generation opens (frames are intact) but v1 blobs can't be
-  // viewed in place — materialize them via DeserializeMap instead.
-  auto mapped = store.OpenMapped(1);
+  // Checkpoint v2 holds one tile as intact, framed v1 bytes.
+  TileId first = tiles.AllTiles().front();
+  auto content = tiles.LoadTile(first);
+  ASSERT_TRUE(content.ok());
+  tiles.PutRawTile(first, SerializeMap(*content));
+  ASSERT_TRUE(store.WriteCheckpoint(tiles, 2, 20).ok());
+
+  // The generation opens (frames are intact), but the v1 tile has no
+  // view: it fails closed like any other non-v3 payload.
+  auto mapped = store.OpenMapped(2);
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-  uint64_t first = mapped->tiles.begin()->first;
-  EXPECT_EQ(mapped->View(first).status().code(),
-            StatusCode::kFailedPrecondition);
-  auto decoded = DeserializeMap(mapped->tiles.at(first).view());
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(mapped->View(first.Morton()).status().code(),
+            StatusCode::kDataLoss);
+
+  // Loading v2 fails, so recovery skips it as invalid and falls back to
+  // the intact v1 checkpoint.
+  EXPECT_EQ(store.LoadCheckpoint(2, TileStore::Options{}).status().code(),
+            StatusCode::kDataLoss);
+  size_t skipped = 0;
+  auto recovered = store.LoadNewestValid(TileStore::Options{}, &skipped);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(recovered->version, 1u);
+  EXPECT_EQ(skipped, 1u);
 }
 
 TEST(SnapshotStoreConcurrencyTest, ConcurrentMappedReadersSurviveSwaps) {
@@ -380,7 +390,7 @@ TEST(SnapshotStoreConcurrencyTest, ConcurrentMappedReadersSurviveSwaps) {
   // through swap + unlink.
   ScopedTempDir dir("mmap_concurrent");
   HdMap world = StraightRoad(400.0);
-  TileStore tiles = BuildTiles(world, 100.0, TileFormat::kFlatV3);
+  TileStore tiles = BuildTiles(world, 100.0);
   SnapshotStore store(
       {.data_dir = dir.str(), .fsync = FsyncMode::kNever, .retention = 1});
   ASSERT_TRUE(store.WriteCheckpoint(tiles, 1, 10).ok());

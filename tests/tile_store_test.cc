@@ -7,6 +7,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/rng.h"
 #include "core/serialization.h"
 #include "core/tile_store.h"
@@ -47,6 +48,48 @@ HdMap TwoTileWorldWithSharedRegElement() {
   reg.lanelet_ids = {1, 2};
   EXPECT_TRUE(map.AddRegulatoryElement(reg).ok());
   return map;
+}
+
+/// Test oracle for LoadRegion: decode every blob in full with
+/// DeserializeMap (either encoding), then insert each element with the
+/// first tile in `tiles` order winning. Blobs that fail decode are listed
+/// as corrupt, like LoadRegion's degraded mode.
+HdMap ReferenceStitch(const std::vector<TileId>& tiles,
+                      const std::vector<std::string>& blobs,
+                      RegionReport* report) {
+  HdMap region;
+  report->corrupt_tiles.clear();
+  report->unresolved_regulatory_refs.clear();
+  for (size_t i = 0; i < tiles.size(); ++i) {
+    auto tile = DeserializeMap(blobs[i]);
+    if (!tile.ok()) {
+      report->corrupt_tiles.push_back(tiles[i]);
+      continue;
+    }
+    for (const auto& [id, lm] : tile->landmarks()) {
+      (void)region.AddLandmark(lm);
+    }
+    for (const auto& [id, lf] : tile->line_features()) {
+      (void)region.AddLineFeature(lf);
+    }
+    for (const auto& [id, af] : tile->area_features()) {
+      (void)region.AddAreaFeature(af);
+    }
+    for (const auto& [id, ll] : tile->lanelets()) {
+      (void)region.AddLanelet(ll);
+    }
+    for (const auto& [id, reg] : tile->regulatory_elements()) {
+      (void)region.AddRegulatoryElement(reg);
+    }
+  }
+  for (const auto& [id, reg] : region.regulatory_elements()) {
+    for (ElementId ll_id : reg.lanelet_ids) {
+      if (region.FindLanelet(ll_id) == nullptr) {
+        report->unresolved_regulatory_refs.emplace_back(id, ll_id);
+      }
+    }
+  }
+  return region;
 }
 
 TEST(TileStoreRegressionTest, RegulatoryElementRidesWithEveryLanelet) {
@@ -122,9 +165,21 @@ TEST(TileStoreTest, ParallelRegionLoadMatchesSerial) {
   EXPECT_EQ(SerializeMap(*serial), SerializeMap(*parallel));
 }
 
+/// The store's exported view-cache counters, read back from `registry`.
+struct CacheCounts {
+  uint64_t hits = 0;
+  uint64_t misses = 0;
+};
+CacheCounts ReadCacheCounts(MetricsRegistry& registry) {
+  return {registry.GetCounter("tile_store.cache_hits")->value(),
+          registry.GetCounter("tile_store.cache_misses")->value()};
+}
+
 TEST(TileStoreTest, CacheHitsOnRepeatedLoads) {
+  MetricsRegistry registry;
   HdMap map = SmallTown();
-  TileStore store(TileStore::Options{.tile_size_m = 128.0});
+  TileStore store(
+      TileStore::Options{.tile_size_m = 128.0, .metrics = &registry});
   ASSERT_TRUE(store.Build(map).ok());
   ASSERT_GT(store.NumTiles(), 1u);
 
@@ -133,24 +188,26 @@ TEST(TileStoreTest, CacheHitsOnRepeatedLoads) {
   ASSERT_FALSE(present->empty());
   TileId tile = present->front();
   ASSERT_TRUE(store.LoadTile(tile).ok());
-  TileStoreStats stats = store.stats();
-  EXPECT_EQ(stats.cache_hits, 0u);
-  EXPECT_EQ(stats.cache_misses, 1u);
+  CacheCounts counts = ReadCacheCounts(registry);
+  EXPECT_EQ(counts.hits, 0u);
+  EXPECT_EQ(counts.misses, 1u);
 
+  // LoadTile and GetTileView share the one validated-view cache.
   ASSERT_TRUE(store.LoadTile(tile).ok());
-  stats = store.stats();
-  EXPECT_EQ(stats.cache_hits, 1u);
-  EXPECT_EQ(stats.cache_misses, 1u);
+  ASSERT_TRUE(store.GetTileView(tile).ok());
+  counts = ReadCacheCounts(registry);
+  EXPECT_EQ(counts.hits, 2u);
+  EXPECT_EQ(counts.misses, 1u);
 
-  // A whole-map region load deserializes each remaining tile once...
+  // A whole-map region load validates each remaining tile once...
   ASSERT_TRUE(store.LoadRegion(map.BoundingBox()).ok());
-  stats = store.stats();
-  EXPECT_EQ(stats.cache_misses, store.NumTiles());
-  // ...and a repeat is served fully from cache.
+  counts = ReadCacheCounts(registry);
+  EXPECT_EQ(counts.misses, store.NumTiles());
+  // ...and a repeat is served fully from cache: one lookup per tile.
   ASSERT_TRUE(store.LoadRegion(map.BoundingBox()).ok());
-  TileStoreStats hot = store.stats();
-  EXPECT_EQ(hot.cache_misses, stats.cache_misses);
-  EXPECT_EQ(hot.cache_hits, stats.cache_hits + store.NumTiles());
+  CacheCounts warm = ReadCacheCounts(registry);
+  EXPECT_EQ(warm.misses, counts.misses);
+  EXPECT_EQ(warm.hits, counts.hits + store.NumTiles());
 }
 
 TEST(TileStoreTest, PutTileInvalidatesCacheEntry) {
@@ -158,7 +215,8 @@ TEST(TileStoreTest, PutTileInvalidatesCacheEntry) {
   TileStore store(TileStore::Options{.tile_size_m = 100.0});
   ASSERT_TRUE(store.Build(map).ok());
   TileId tile = store.TileAt({15, 10});
-  ASSERT_TRUE(store.LoadTile(tile).ok());  // Warm the cache.
+  auto old_view = store.GetTileView(tile);  // Warm the cache.
+  ASSERT_TRUE(old_view.ok());
 
   HdMap replacement;
   Lanelet moved;
@@ -171,23 +229,11 @@ TEST(TileStoreTest, PutTileInvalidatesCacheEntry) {
   ASSERT_TRUE(reloaded.ok());
   EXPECT_NE(reloaded->FindLanelet(77), nullptr);  // Fresh bytes, not cache.
   EXPECT_EQ(reloaded->FindLanelet(1), nullptr);
-}
-
-TEST(TileStoreTest, CacheEvictsLeastRecentlyUsed) {
-  HdMap map = SmallTown();
-  TileStore store(TileStore::Options{.tile_size_m = 128.0, .cache_capacity = 2});
-  ASSERT_TRUE(store.Build(map).ok());
-  ASSERT_GE(store.NumTiles(), 3u);
-
-  ASSERT_TRUE(store.LoadRegion(map.BoundingBox()).ok());
-  TileStoreStats stats = store.stats();
-  EXPECT_GT(stats.cache_evictions, 0u);
-
-  store.ResetStats();
-  stats = store.stats();
-  EXPECT_EQ(stats.cache_hits, 0u);
-  EXPECT_EQ(stats.cache_misses, 0u);
-  EXPECT_EQ(stats.cache_evictions, 0u);
+  auto new_view = store.GetTileView(tile);
+  ASSERT_TRUE(new_view.ok());
+  EXPECT_TRUE(new_view->view.FindLanelet(77).has_value());
+  // The view taken before the Put still reads the old bytes it pins.
+  EXPECT_TRUE(old_view->view.FindLanelet(1).has_value());
 }
 
 TEST(TileStoreTest, HugeQueryBoxIsRejected) {
@@ -229,19 +275,6 @@ TEST(TileStoreTest, ExtremeQueryBoxesAreRejectedNotOverflowed) {
             StatusCode::kInvalidArgument);
 }
 
-TEST(TileStoreTest, DisabledCacheCountsNoMisses) {
-  HdMap map = SmallTown();
-  TileStore store(TileStore::Options{.tile_size_m = 128.0, .cache_capacity = 0});
-  ASSERT_TRUE(store.Build(map).ok());
-
-  ASSERT_TRUE(store.LoadRegion(map.BoundingBox()).ok());
-  ASSERT_TRUE(store.LoadRegion(map.BoundingBox()).ok());
-  TileStoreStats stats = store.stats();
-  EXPECT_EQ(stats.cache_hits, 0u);
-  EXPECT_EQ(stats.cache_misses, 0u);
-  EXPECT_EQ(stats.cache_evictions, 0u);
-}
-
 TEST(TileStoreTest, BuildRejectsDegenerateElementBox) {
   HdMap map;
   Lanelet huge;
@@ -259,32 +292,35 @@ TEST(TileStoreTest, BuildRejectsDegenerateElementBox) {
 // The pre-Options scalar constructor is gone; Options is the only way to
 // configure a store, and its fields cover what the scalars used to.
 TEST(TileStoreTest, OptionsConstructorConfiguresStore) {
-  TileStore store(
-      TileStore::Options{.tile_size_m = 128.0, .cache_capacity = 4});
+  TileStore store(TileStore::Options{.tile_size_m = 128.0});
   EXPECT_EQ(store.tile_size(), 128.0);
-  EXPECT_EQ(store.cache_capacity(), 4u);
   HdMap map = SmallTown();
   ASSERT_TRUE(store.Build(map).ok());
   EXPECT_GT(store.NumTiles(), 0u);
 }
 
 TEST(TileStoreTest, CopyKeepsBytesDropsCache) {
+  MetricsRegistry registry;
   HdMap map = SmallTown();
-  TileStore store(TileStore::Options{.tile_size_m = 128.0});
+  TileStore store(
+      TileStore::Options{.tile_size_m = 128.0, .metrics = &registry});
   ASSERT_TRUE(store.Build(map).ok());
   auto present = store.TilesInBox(map.BoundingBox());
   ASSERT_TRUE(present.ok());
   ASSERT_TRUE(store.LoadTile(present->front()).ok());  // Warm one entry.
+  ASSERT_TRUE(store.LoadTile(present->front()).ok());
+  CacheCounts before = ReadCacheCounts(registry);
+  EXPECT_EQ(before.hits, 1u);
 
   TileStore copy = store;
   EXPECT_EQ(copy.RawTilesCopy(), store.RawTilesCopy());
   EXPECT_EQ(copy.tile_size(), store.tile_size());
-  TileStoreStats stats = copy.stats();
-  EXPECT_EQ(stats.cache_hits, 0u);
-  EXPECT_EQ(stats.cache_misses, 0u);
-  // The copy's cache starts cold: the first load is a miss, not a hit.
+  // The copy keeps the metrics binding but its cache starts cold: the
+  // first load is a miss, not a hit.
   ASSERT_TRUE(copy.LoadTile(present->front()).ok());
-  EXPECT_EQ(copy.stats().cache_misses, 1u);
+  CacheCounts after = ReadCacheCounts(registry);
+  EXPECT_EQ(after.hits, before.hits);
+  EXPECT_EQ(after.misses, before.misses + 1);
 }
 
 TEST(TileStoreTest, RebuildTilesMatchesFullBuild) {
@@ -327,15 +363,18 @@ TEST(TileStoreTest, TileCoverageIncludesAbsentTiles) {
 TEST(TileStoreTest, CacheCountersExportThroughRegistry) {
   MetricsRegistry registry;
   HdMap map = SmallTown();
-  TileStore store(TileStore::Options{
-      .tile_size_m = 128.0, .cache_capacity = 256, .metrics = &registry});
+  TileStore store(
+      TileStore::Options{.tile_size_m = 128.0, .metrics = &registry});
   ASSERT_TRUE(store.Build(map).ok());
   auto present = store.TilesInBox(map.BoundingBox());
   ASSERT_TRUE(present.ok());
-  ASSERT_TRUE(store.LoadTile(present->front()).ok());
-  ASSERT_TRUE(store.LoadTile(present->front()).ok());
+  ASSERT_TRUE(store.GetTileView(present->front()).ok());
+  ASSERT_TRUE(store.GetTileView(present->front()).ok());
   EXPECT_EQ(registry.GetCounter("tile_store.cache_misses")->value(), 1u);
   EXPECT_EQ(registry.GetCounter("tile_store.cache_hits")->value(), 1u);
+  // The view cache never evicts, so no eviction series is exported.
+  EXPECT_EQ(registry.RenderPrometheus().find("cache_evictions"),
+            std::string::npos);
 }
 
 /// Flips one payload byte of tile `id` in place via the raw-ingestion
@@ -375,8 +414,10 @@ TEST(TileStoreCorruptionTest, PartialModeStitchesAroundCorruptTile) {
 }
 
 TEST(TileStoreCorruptionTest, QuarantineFailsFastAndNeverCaches) {
+  MetricsRegistry registry;
   HdMap map = TwoTileWorldWithSharedRegElement();
-  TileStore store(TileStore::Options{.tile_size_m = 100.0});
+  TileStore store(
+      TileStore::Options{.tile_size_m = 100.0, .metrics = &registry});
   ASSERT_TRUE(store.Build(map).ok());
   TileId bad_tile = store.TileAt({15, 10});
   CorruptTile(&store, bad_tile);
@@ -385,13 +426,14 @@ TEST(TileStoreCorruptionTest, QuarantineFailsFastAndNeverCaches) {
   ASSERT_FALSE(first.ok());
   EXPECT_EQ(first.status().code(), StatusCode::kDataLoss);
   EXPECT_EQ(store.NumQuarantined(), 1u);
-  // The second load fails fast off the quarantine set (no re-decode) and
-  // never lands in the cache: still zero hits.
-  store.ResetStats();
+  // The second load fails fast off the quarantine set (no
+  // re-validation) and never lands in the cache: still zero hits.
   auto second = store.LoadTile(bad_tile);
   ASSERT_FALSE(second.ok());
   EXPECT_EQ(second.status().code(), StatusCode::kDataLoss);
-  EXPECT_EQ(store.stats().cache_hits, 0u);
+  EXPECT_EQ(store.GetTileView(bad_tile).status().code(),
+            StatusCode::kDataLoss);
+  EXPECT_EQ(ReadCacheCounts(registry).hits, 0u);
 }
 
 TEST(TileStoreCorruptionTest, ReplacingBytesClearsQuarantine) {
@@ -425,15 +467,28 @@ TEST(TileStoreCorruptionTest, FaultInjectorCorruptsLoadsDeterministically) {
   FaultInjector faults(1234);
   faults.AddPolicy({TileStore::kLoadFaultSite, FaultKind::kBitFlip, 1.0});
   TileStore store(TileStore::Options{.tile_size_m = 100.0,
-                                     .cache_capacity = 0,
                                      .fault_injector = &faults});
   ASSERT_TRUE(store.Build(map).ok());
   TileId id = store.TileAt({15, 10});
+  const std::string pristine = store.RawTilesCopy().at(id.Morton());
+
+  // The zero-copy path passes the same seam: the injected bytes are
+  // validated, fail closed, and quarantine the tile.
+  auto view = store.GetTileView(id);
+  ASSERT_FALSE(view.ok());
+  EXPECT_EQ(view.status().code(), StatusCode::kDataLoss);
+  EXPECT_EQ(faults.InjectedCount(TileStore::kLoadFaultSite), 1u);
+  EXPECT_EQ(store.NumQuarantined(), 1u);
+  // Corruption is injected into a private copy: the stored bytes are
+  // intact, and repairing the tile (same bytes) lifts the quarantine.
+  EXPECT_EQ(store.RawTilesCopy().at(id.Morton()), pristine);
+  store.PutRawTile(id, pristine);
+  EXPECT_EQ(store.NumQuarantined(), 0u);
 
   auto load = store.LoadTile(id);
   ASSERT_FALSE(load.ok());
   EXPECT_EQ(load.status().code(), StatusCode::kDataLoss);
-  EXPECT_GE(faults.InjectedCount(TileStore::kLoadFaultSite), 1u);
+  EXPECT_EQ(faults.InjectedCount(TileStore::kLoadFaultSite), 2u);
   EXPECT_EQ(store.NumQuarantined(), 1u);
 
   // Same seed, fresh store: the identical blob makes the identical
@@ -441,18 +496,17 @@ TEST(TileStoreCorruptionTest, FaultInjectorCorruptsLoadsDeterministically) {
   FaultInjector faults2(1234);
   faults2.AddPolicy({TileStore::kLoadFaultSite, FaultKind::kBitFlip, 1.0});
   TileStore store2(TileStore::Options{.tile_size_m = 100.0,
-                                      .cache_capacity = 0,
                                       .fault_injector = &faults2});
   ASSERT_TRUE(store2.Build(map).ok());
-  EXPECT_FALSE(store2.LoadTile(id).ok());
+  EXPECT_FALSE(store2.GetTileView(id).ok());
 
   // Probability 0: injector wired but inert.
   FaultInjector quiet(1234);
   quiet.AddPolicy({TileStore::kLoadFaultSite, FaultKind::kBitFlip, 0.0});
   TileStore store3(TileStore::Options{.tile_size_m = 100.0,
-                                      .cache_capacity = 0,
                                       .fault_injector = &quiet});
   ASSERT_TRUE(store3.Build(map).ok());
+  EXPECT_TRUE(store3.GetTileView(id).ok());
   EXPECT_TRUE(store3.LoadTile(id).ok());
   EXPECT_EQ(quiet.TotalInjected(), 0u);
 }
@@ -476,24 +530,95 @@ TEST(TileStoreCorruptionTest, PutRawTileIngestsWireBytes) {
   EXPECT_NE(region->FindLanelet(2), nullptr);
 }
 
-// --- Span-based view API ---
+// --- Region stitch equivalence ---
 
-TEST(TileStoreViewTest, CompiledDefaultFormatMatchesBuildFlag) {
-  // The Options default tracks -DHDMAP_FORMAT_V3 (see the `v1-fallback`
-  // preset); every other view test pins the format explicitly so the
-  // suite is green under either default.
-  TileStore store(TileStore::Options{.tile_size_m = 100.0});
-#if HDMAP_FORMAT_V3_DEFAULT
-  EXPECT_EQ(store.format(), TileFormat::kFlatV3);
-#else
-  EXPECT_EQ(store.format(), TileFormat::kLegacyV1);
-#endif
+/// Stitches `boxes` seeded random query boxes (200..400 m a side
+/// somewhere over `map`) through LoadRegion and through ReferenceStitch
+/// over the same stored bytes; returns how many regions or reports
+/// differ, and the first such box in `first_diff`.
+int CountRegionMismatches(const TileStore& store, const HdMap& map,
+                          uint64_t seed, int boxes, std::string* first_diff) {
+  Rng rng(seed);
+  Aabb bounds = map.BoundingBox();
+  int mismatches = 0;
+  for (int i = 0; i < boxes; ++i) {
+    double w = rng.Uniform(200.0, 400.0);
+    double h = rng.Uniform(200.0, 400.0);
+    Vec2 lo{rng.Uniform(bounds.min.x - w / 2, bounds.max.x - w / 2),
+            rng.Uniform(bounds.min.y - h / 2, bounds.max.y - h / 2)};
+    Aabb box(lo, {lo.x + w, lo.y + h});
+    auto tiles = store.TilesInBox(box);
+    if (!tiles.ok()) return -1;
+    std::vector<std::string> blobs;
+    for (const TileId& id : *tiles) {
+      blobs.emplace_back(store.RawTileBytes(id)->view());
+    }
+    RegionReport expected_report;
+    HdMap expected = ReferenceStitch(*tiles, blobs, &expected_report);
+    RegionReport report;
+    auto region = store.LoadRegion(box, &report);
+    bool same = region.ok() &&
+                SerializeMap(*region) == SerializeMap(expected) &&
+                report.corrupt_tiles == expected_report.corrupt_tiles &&
+                report.unresolved_regulatory_refs ==
+                    expected_report.unresolved_regulatory_refs;
+    if (!same && mismatches++ == 0) {
+      *first_diff = "box #" + std::to_string(i) + " at (" +
+                    std::to_string(lo.x) + ", " + std::to_string(lo.y) + ")";
+    }
+  }
+  return mismatches;
 }
+
+HdMap RegionTestTown() {
+  Rng rng(5);
+  TownOptions opt;
+  opt.grid_rows = 5;
+  opt.grid_cols = 5;
+  auto town = GenerateTown(opt, rng);
+  EXPECT_TRUE(town.ok()) << town.status().ToString();
+  return std::move(town).value();
+}
+
+TEST(TileStoreRegionTest, LoadRegionMatchesReferenceStitch) {
+  HdMap map = RegionTestTown();
+  TileStore store(TileStore::Options{.tile_size_m = 100.0});
+  ASSERT_TRUE(store.Build(map).ok());
+  ASSERT_GT(store.NumTiles(), 30u);
+  std::string first_diff;
+  // Once cold (every view validated on the way), once with warm views.
+  EXPECT_EQ(CountRegionMismatches(store, map, 42, 1000, &first_diff), 0)
+      << first_diff;
+  EXPECT_EQ(CountRegionMismatches(store, map, 43, 200, &first_diff), 0)
+      << first_diff;
+}
+
+TEST(TileStoreRegionTest, LoadRegionMatchesReferenceStitchAroundCorruptTiles) {
+  HdMap map = RegionTestTown();
+  TileStore store(TileStore::Options{.tile_size_m = 100.0});
+  ASSERT_TRUE(store.Build(map).ok());
+  std::vector<TileId> all = store.AllTiles();
+  size_t corrupted = 0;
+  for (size_t i = 0; i < all.size(); i += 7) {
+    auto bytes = store.RawTileBytes(all[i]);
+    ASSERT_TRUE(bytes.ok());
+    std::string bad(bytes->view());
+    bad[bad.size() / 2] ^= 0x10;  // Breaks the frame CRC.
+    store.PutRawTile(all[i], std::move(bad));
+    ++corrupted;
+  }
+  ASSERT_GE(corrupted, 4u);
+  std::string first_diff;
+  EXPECT_EQ(CountRegionMismatches(store, map, 44, 1000, &first_diff), 0)
+      << first_diff;
+  EXPECT_EQ(store.NumQuarantined(), corrupted);
+}
+
+// --- Span-based view API ---
 
 TEST(TileStoreViewTest, GetTileViewServesElementsInPlace) {
   HdMap map = TwoTileWorldWithSharedRegElement();
-  TileStore store(TileStore::Options{.tile_size_m = 100.0,
-                                     .format = TileFormat::kFlatV3});
+  TileStore store(TileStore::Options{.tile_size_m = 100.0});
   ASSERT_TRUE(store.Build(map).ok());
 
   auto view = store.GetTileView(store.TileAt({15, 10}));
@@ -513,9 +638,8 @@ TEST(TileStoreViewTest, GetTileViewServesElementsInPlace) {
 
 TEST(TileStoreViewTest, ViewPinsBytesAcrossReplaceAndDestruction) {
   HdMap map = TwoTileWorldWithSharedRegElement();
-  auto store = std::make_unique<TileStore>(
-      TileStore::Options{.tile_size_m = 100.0,
-                         .format = TileFormat::kFlatV3});
+  auto store =
+      std::make_unique<TileStore>(TileStore::Options{.tile_size_m = 100.0});
   ASSERT_TRUE(store->Build(map).ok());
   TileId id = store->TileAt({15, 10});
 
@@ -539,50 +663,67 @@ TEST(TileStoreViewTest, ViewPinsBytesAcrossReplaceAndDestruction) {
   EXPECT_NE(materialized->FindRegulatoryElement(900), nullptr);
 }
 
-TEST(TileStoreViewTest, LegacyV1StoreRefusesViewsButStillDecodes) {
+TEST(TileStoreViewTest, V1BytesFailClosedThroughPutRawTile) {
   HdMap map = TwoTileWorldWithSharedRegElement();
-  TileStore store(TileStore::Options{.tile_size_m = 100.0,
-                                     .format = TileFormat::kLegacyV1});
+  TileStore store(TileStore::Options{.tile_size_m = 100.0});
   ASSERT_TRUE(store.Build(map).ok());
-  TileId id = store.TileAt({15, 10});
+  TileId v1_tile = store.TileAt({15, 10});
+  auto content = store.LoadTile(v1_tile);
+  ASSERT_TRUE(content.ok());
+  // Intact, correctly framed bytes — just not in the one tile format.
+  store.PutRawTile(v1_tile, SerializeMap(*content));
 
-  // v1 blobs have no offset tables to point a view at.
-  auto view = store.GetTileView(id);
+  auto view = store.GetTileView(v1_tile);
   ASSERT_FALSE(view.ok());
-  EXPECT_EQ(view.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(view.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(view.status().message().find("not a v3 tile payload"),
+            std::string::npos)
+      << view.status().ToString();
+  EXPECT_EQ(store.NumQuarantined(), 1u);
+  EXPECT_EQ(store.LoadTile(v1_tile).status().code(), StatusCode::kDataLoss);
 
-  // The legacy decode path is unaffected, and the bytes really are v1.
-  auto tile = store.LoadTile(id);
-  ASSERT_TRUE(tile.ok()) << tile.status().ToString();
-  EXPECT_NE(tile->FindLanelet(1), nullptr);
-  auto bytes = store.RawTileBytes(id);
-  ASSERT_TRUE(bytes.ok());
-  EXPECT_FALSE(IsTileV3(bytes->view()));
+  // Regions stitch around it and list it, exactly like a corrupt tile.
+  Aabb both({0, 0}, {530, 20});
+  RegionReport report;
+  auto region = store.LoadRegion(both, &report);
+  ASSERT_TRUE(region.ok()) << region.status().ToString();
+  EXPECT_EQ(region->FindLanelet(1), nullptr);
+  EXPECT_NE(region->FindLanelet(2), nullptr);
+  EXPECT_EQ(report.corrupt_tiles, std::vector<TileId>{v1_tile});
+  EXPECT_EQ(store.LoadRegion(both, nullptr, 0, RegionReadMode::kStrict)
+                .status()
+                .code(),
+            StatusCode::kDataLoss);
 }
 
 TEST(TileStoreViewTest, FormatsDecodeToIdenticalMaps) {
+  // The v1 encoding stays as a yardstick: a region stitched from every
+  // tile's v1 re-encoding equals the one LoadRegion stitches from views.
   HdMap map = SmallTown();
-  TileStore v3(TileStore::Options{.tile_size_m = 128.0,
-                                  .format = TileFormat::kFlatV3});
-  TileStore v1(TileStore::Options{.tile_size_m = 128.0,
-                                  .format = TileFormat::kLegacyV1});
-  ASSERT_TRUE(v3.Build(map).ok());
-  ASSERT_TRUE(v1.Build(map).ok());
-  ASSERT_EQ(v3.NumTiles(), v1.NumTiles());
+  TileStore store(TileStore::Options{.tile_size_m = 128.0});
+  ASSERT_TRUE(store.Build(map).ok());
   Aabb box = map.BoundingBox();
-  auto r3 = v3.LoadRegion(box);
-  auto r1 = v1.LoadRegion(box);
-  ASSERT_TRUE(r3.ok());
-  ASSERT_TRUE(r1.ok());
-  // Same canonical fingerprint: the two formats are interchangeable at
-  // the map level, byte-determinism gates aside.
-  EXPECT_EQ(SerializeMap(*r3), SerializeMap(*r1));
+  auto tiles = store.TilesInBox(box);
+  ASSERT_TRUE(tiles.ok());
+  std::vector<std::string> v1_blobs;
+  for (const TileId& id : *tiles) {
+    auto tile = store.LoadTile(id);
+    ASSERT_TRUE(tile.ok());
+    v1_blobs.push_back(SerializeMap(*tile));
+  }
+  RegionReport expected_report;
+  HdMap expected = ReferenceStitch(*tiles, v1_blobs, &expected_report);
+  RegionReport report;
+  auto region = store.LoadRegion(box, &report);
+  ASSERT_TRUE(region.ok());
+  EXPECT_EQ(SerializeMap(*region), SerializeMap(expected));
+  EXPECT_EQ(report.unresolved_regulatory_refs,
+            expected_report.unresolved_regulatory_refs);
 }
 
 TEST(TileStoreViewTest, CorruptTileQuarantinesOnViewPath) {
   HdMap map = TwoTileWorldWithSharedRegElement();
-  TileStore store(TileStore::Options{.tile_size_m = 100.0,
-                                     .format = TileFormat::kFlatV3});
+  TileStore store(TileStore::Options{.tile_size_m = 100.0});
   ASSERT_TRUE(store.Build(map).ok());
   TileId id = store.TileAt({15, 10});
   std::string good = store.RawTilesCopy().at(id.Morton());
@@ -610,8 +751,7 @@ TEST(TileStoreConcurrencyTest, ConcurrentViewersRaceReplacesSafely) {
   // view never goes bad mid-read and (b) no stale quarantine or cached
   // view outlives the final repair.
   HdMap map = SmallTown();
-  TileStore store(TileStore::Options{.tile_size_m = 128.0,
-                                     .format = TileFormat::kFlatV3});
+  TileStore store(TileStore::Options{.tile_size_m = 128.0});
   ASSERT_TRUE(store.Build(map).ok());
   auto in_box = store.TilesInBox(map.BoundingBox());
   ASSERT_TRUE(in_box.ok());

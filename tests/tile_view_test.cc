@@ -401,6 +401,38 @@ TEST(TileViewCorruptionTest, IdOrderViolationRejected) {
   ExpectRejected(bad, "ids out of order");
 }
 
+TEST(TileViewCorruptionTest, RecordsHdMapWouldRejectAreRejected) {
+  // Records of the right size whose content HdMap::Add* refuses: a view
+  // that validated must always materialize, so Create rejects them.
+  HdMap map = RichMap();
+  std::string payload = PayloadOf(EncodeTileV3(map));
+
+  // The first landmark's id becomes 0 (still ascending, but invalid).
+  size_t lm_table = ReadU32(payload, DirOffsetOff(0));
+  uint32_t lm_count = ReadU32(payload, DirCountOff(0));
+  size_t lm_data = lm_table + ((4 * (lm_count + 1) + 7) / 8) * 8;
+  std::string zero_id = payload;
+  std::memset(zero_id.data() + lm_data + ReadU32(payload, lm_table), 0, 8);
+  ExpectRejected(zero_id, "element id 0");
+
+  // A 2-point lanelet re-counted as 1 centerline point plus 2 more
+  // elevation samples: the record size is unchanged, the lanelet is not.
+  size_t ll_table = ReadU32(payload, DirOffsetOff(3));
+  uint32_t ll_count = ReadU32(payload, DirCountOff(3));
+  size_t ll_data = ll_table + ((4 * (ll_count + 1) + 7) / 8) * 8;
+  bool found = false;
+  for (uint32_t i = 0; i < ll_count && !found; ++i) {
+    size_t rec = ll_data + ReadU32(payload, ll_table + 4 * i);
+    if (ReadU32(payload, rec + 56) != 2) continue;
+    std::string one_point = payload;
+    WriteU32(&one_point, rec + 56, 1);
+    WriteU32(&one_point, rec + 60, ReadU32(payload, rec + 60) + 2);
+    ExpectRejected(one_point, "1-point lanelet centerline");
+    found = true;
+  }
+  EXPECT_TRUE(found) << "RichMap needs a 2-point lanelet";
+}
+
 /// Randomized structural fuzz: mutate the BARE payload, then re-frame it
 /// with a valid CRC, so every mutation reaches the offset-table
 /// validator instead of dying at the frame check. Nothing may crash or
@@ -435,7 +467,9 @@ TEST(TileViewCorruptionTest, ReframedPayloadFuzzNeverCrashes) {
       }
       if (bad.empty()) break;
     }
-    auto view = TileView::Create(std::string_view(WrapFrame(bad)));
+    // The view reads the framed bytes in place, so they must outlive it.
+    std::string framed = WrapFrame(bad);
+    auto view = TileView::Create(std::string_view(framed));
     if (view.ok()) {
       // A mutation that only hit dead bytes (padding) may survive; the
       // surviving view must still be fully traversable.
