@@ -6,42 +6,9 @@
 #include <cstdio>
 #include <utility>
 
+#include "common/json_escape.h"
+
 namespace hdmap {
-
-namespace {
-
-void AppendEscaped(std::string_view value, std::string* out) {
-  for (char c : value) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      case '\r':
-        *out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          *out += buf;
-        } else {
-          *out += c;
-        }
-    }
-  }
-}
-
-}  // namespace
 
 EventLog::EventLog(size_t capacity) : capacity_(std::max<size_t>(1, capacity)) {}
 
@@ -145,7 +112,7 @@ void EventLog::AppendJson(const Event& event, std::string* out) {
   std::snprintf(buf, sizeof(buf), "\",\"trace_id\":\"%" PRIu64 "\",\"detail\":\"",
                 event.trace_id);
   *out += buf;
-  AppendEscaped(event.detail, out);
+  AppendJsonEscaped(event.detail, out);
   *out += "\"}";
 }
 

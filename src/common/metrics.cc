@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <limits>
 
+#include "common/json_escape.h"
+
 namespace hdmap {
 
 namespace {
@@ -68,40 +70,6 @@ std::string PromEscapeHelp(const std::string& value) {
       out += "\\n";
     } else {
       out += c;
-    }
-  }
-  return out;
-}
-
-std::string JsonEscape(const std::string& value) {
-  std::string out;
-  out.reserve(value.size());
-  for (char c : value) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
     }
   }
   return out;
@@ -369,9 +337,11 @@ std::string MetricsRegistry::RenderJson() const {
     std::snprintf(buf, sizeof(buf), "%llu",
                   static_cast<unsigned long long>(counter->value()));
     out += first ? "\n" : ",\n";
-    out += "    {\"name\": \"" + JsonEscape(name) +
-           "\", \"type\": \"counter\", \"unit\": \"1\", \"value\": " + buf +
-           "}";
+    out += "    {\"name\": \"";
+    AppendJsonEscaped(name, &out);
+    out += "\", \"type\": \"counter\", \"unit\": \"1\", \"value\": ";
+    out += buf;
+    out += "}";
     first = false;
   }
   out += first ? "],\n" : "\n  ],\n";
@@ -380,8 +350,9 @@ std::string MetricsRegistry::RenderJson() const {
   first = true;
   for (const auto& [name, gauge] : gauges_) {
     out += first ? "\n" : ",\n";
-    out += "    {\"name\": \"" + JsonEscape(name) +
-           "\", \"type\": \"gauge\", \"unit\": \"1\", \"value\": " +
+    out += "    {\"name\": \"";
+    AppendJsonEscaped(name, &out);
+    out += "\", \"type\": \"gauge\", \"unit\": \"1\", \"value\": " +
            FormatDouble(gauge->value()) + "}";
     first = false;
   }
@@ -393,10 +364,12 @@ std::string MetricsRegistry::RenderJson() const {
     char count_buf[32];
     std::snprintf(count_buf, sizeof(count_buf), "%zu", latency->count());
     out += first ? "\n" : ",\n";
-    out += "    {\"name\": \"" + JsonEscape(name) +
-           "\", \"type\": \"histogram\", \"unit\": \"seconds\", "
-           "\"count\": " +
-           count_buf + ", \"sum\": " + FormatDouble(latency->sum_seconds()) +
+    out += "    {\"name\": \"";
+    AppendJsonEscaped(name, &out);
+    out += "\", \"type\": \"histogram\", \"unit\": \"seconds\", "
+           "\"count\": ";
+    out += count_buf;
+    out += ", \"sum\": " + FormatDouble(latency->sum_seconds()) +
            ", \"mean\": " + FormatDouble(latency->mean_seconds()) +
            ", \"min\": " + FormatDouble(latency->min_seconds()) +
            ", \"max\": " + FormatDouble(latency->max_seconds()) +

@@ -2,7 +2,6 @@
 #define HDMAP_COMMON_METRICS_H_
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -173,32 +172,6 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<LatencyHistogram>> latencies_;
   std::map<std::string, std::string> help_;
-};
-
-/// RAII timer: records the elapsed wall time into a LatencyHistogram when
-/// it goes out of scope. A null histogram disables it (zero-cost guard for
-/// optional metrics).
-class ScopedTimer {
- public:
-  explicit ScopedTimer(LatencyHistogram* histogram)
-      : histogram_(histogram),
-        start_(histogram == nullptr
-                   ? std::chrono::steady_clock::time_point{}
-                   : std::chrono::steady_clock::now()) {}
-  ~ScopedTimer() {
-    if (histogram_ != nullptr) {
-      histogram_->Record(std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() - start_)
-                             .count());
-    }
-  }
-
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  LatencyHistogram* histogram_;
-  std::chrono::steady_clock::time_point start_;
 };
 
 }  // namespace hdmap

@@ -4,6 +4,10 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "common/event_log.h"
+#include "common/json_escape.h"
+#include "common/metrics.h"
+
 namespace hdmap {
 
 namespace {
@@ -156,18 +160,21 @@ std::string TraceRecorder::ExportChromeTraceJson(
   // is what makes a merged multi-node export readable.
   std::snprintf(buf, sizeof(buf),
                 "\n{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%u,"
-                "\"args\":{\"name\":\"%s\"}}",
-                process_id, process_label.c_str());
+                "\"args\":{\"name\":\"",
+                process_id);
   out += buf;
+  AppendJsonEscaped(process_label, &out);
+  out += "\"}}";
   for (const TraceEvent& e : events) {
+    out += ",\n{\"name\":\"";
+    AppendJsonEscaped(e.name, &out);
     std::snprintf(
         buf, sizeof(buf),
-        ",\n{\"name\":\"%s\",\"cat\":\"hdmap\",\"ph\":\"X\","
+        "\",\"cat\":\"hdmap\",\"ph\":\"X\","
         "\"ts\":%.3f,\"dur\":%.3f,\"pid\":%u,\"tid\":%u,"
         "\"args\":{\"trace_id\":\"%" PRIu64 "\",\"span_id\":\"%" PRIu64
         "\",\"parent_span_id\":\"%" PRIu64
         "\",\"status\":\"%.*s\",\"slow\":%s,\"sampled\":%s}}",
-        e.name,
         static_cast<double>(e.start_ns) / 1e3 +
             static_cast<double>(wall_anchor_us_),
         static_cast<double>(e.duration_ns) / 1e3, process_id, e.thread_id,
@@ -181,14 +188,37 @@ std::string TraceRecorder::ExportChromeTraceJson(
   return out;
 }
 
-TraceSpan::TraceSpan(const char* name, TraceRecorder* recorder) {
-  event_.name = name;
-  const TraceContext& ctx = g_trace_context;
-  if (!ctx.active()) return;  // No enclosing trace: stay inert.
-  Open(recorder != nullptr ? recorder : &TraceRecorder::Global(), ctx);
+bool ReportSlow(const TraceRecorder& recorder, const char* name,
+                uint64_t duration_ns, StatusCode status, uint64_t trace_id,
+                EventLog* log) {
+  uint64_t threshold_ns = recorder.slow_threshold_ns();
+  if (threshold_ns == 0 || duration_ns <= threshold_ns) return false;
+  if (log != nullptr) {
+    char buf[96];
+    std::snprintf(buf, sizeof(buf), " took %.1f ms (threshold %.1f ms)",
+                  static_cast<double>(duration_ns) * 1e-6,
+                  static_cast<double>(threshold_ns) * 1e-6);
+    log->Append(EventLog::Type::kSlowRequest, trace_id,
+                std::string(name) + buf, status);
+  }
+  return true;
 }
 
-TraceSpan::TraceSpan(const char* name, RootTag, TraceRecorder* recorder) {
+TraceSpan::TraceSpan(const char* name, LatencyHistogram* latency,
+                     EventLog* slow_log, TraceRecorder* recorder)
+    : latency_(latency), slow_log_(slow_log) {
+  event_.name = name;
+  const TraceContext& ctx = g_trace_context;
+  if (ctx.active()) {
+    Open(recorder != nullptr ? recorder : &TraceRecorder::Global(), ctx);
+  } else {
+    StartTimer(recorder);  // No enclosing trace: inert unless timed.
+  }
+}
+
+TraceSpan::TraceSpan(const char* name, RootTag, LatencyHistogram* latency,
+                     EventLog* slow_log, TraceRecorder* recorder)
+    : latency_(latency), slow_log_(slow_log) {
   event_.name = name;
   TraceRecorder* rec =
       recorder != nullptr ? recorder : &TraceRecorder::Global();
@@ -201,12 +231,21 @@ TraceSpan::TraceSpan(const char* name, RootTag, TraceRecorder* recorder) {
     Open(rec, ambient);
     return;
   }
-  if (!rec->enabled()) return;
+  if (!rec->enabled()) {
+    StartTimer(rec);
+    return;
+  }
   TraceContext ctx;
   ctx.trace_id = rec->NextTraceId();
   ctx.parent_span_id = 0;
   ctx.sampled = rec->SampleNextTrace();
   Open(rec, ctx);
+}
+
+void TraceSpan::StartTimer(TraceRecorder* recorder) {
+  if (latency_ == nullptr && slow_log_ == nullptr) return;
+  recorder_ = recorder != nullptr ? recorder : &TraceRecorder::Global();
+  event_.start_ns = NowNs();
 }
 
 void TraceSpan::Open(TraceRecorder* recorder, const TraceContext& ctx) {
@@ -226,12 +265,16 @@ void TraceSpan::Open(TraceRecorder* recorder, const TraceContext& ctx) {
 void TraceSpan::End() {
   if (ended_) return;
   ended_ = true;
+  if (recorder_ == nullptr) return;  // Inert and untimed.
+  event_.duration_ns = NowNs() - event_.start_ns;
+  if (latency_ != nullptr) {
+    latency_->Record(static_cast<double>(event_.duration_ns) * 1e-9);
+  }
+  event_.slow = ReportSlow(*recorder_, event_.name, event_.duration_ns,
+                           event_.status, event_.trace_id, slow_log_);
   if (!active_) return;
   g_trace_context = saved_;
-  event_.duration_ns = NowNs() - event_.start_ns;
-  uint64_t slow_ns = recorder_->slow_threshold_ns();
-  event_.slow = slow_ns != 0 && event_.duration_ns > slow_ns;
-  if (record_always_ || event_.sampled || event_.slow ||
+  if (event_.sampled || event_.slow ||
       (event_.status != StatusCode::kOk && force_record_)) {
     recorder_->Record(event_);
   }

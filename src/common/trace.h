@@ -13,6 +13,9 @@
 
 namespace hdmap {
 
+class EventLog;
+class LatencyHistogram;
+
 /// One finished span, as stored in the TraceRecorder's ring buffer.
 /// `name` must be a string literal (or otherwise outlive the recorder):
 /// the hot path stores the pointer, never a copy.
@@ -76,11 +79,17 @@ class TraceContextScope {
 /// non-OK status or exceed the slow threshold — so a corrupt-tile decode
 /// or a slow request leaves evidence even at low sampling rates.
 ///
-/// Overhead: with the recorder disabled, root spans are inert after one
-/// relaxed atomic load and child spans after one thread-local read — no
-/// clock reads, no allocation. With the recorder enabled but a trace
-/// unsampled, a span costs two steady_clock reads and two atomic
-/// increments; the ring is only touched on error/slow.
+/// The slow threshold is also the one slow-request policy of the whole
+/// stack: timed spans and the tile server's admission-to-write interval
+/// judge themselves against it through ReportSlow, whether or not the
+/// recorder is enabled.
+///
+/// Overhead: with the recorder disabled, untimed root spans are inert
+/// after one relaxed atomic load and untimed child spans after one
+/// thread-local read — no clock reads, no allocation. A timed span adds
+/// two steady_clock reads and one histogram sample. With the recorder
+/// enabled but a trace unsampled, a span costs two steady_clock reads and
+/// two atomic increments; the ring is only touched on error/slow.
 ///
 /// Thread safety: Record/span construction are safe from any thread
 /// (stripes are keyed by thread ordinal, so contention stays local).
@@ -99,7 +108,9 @@ class TraceRecorder {
     /// error/slow spans record).
     uint32_t sample_every_n = 1;
     /// Spans longer than this record even in unsampled traces and are
-    /// flagged slow; <= 0 disables the slow path.
+    /// flagged slow, and timed spans and the tile server log a
+    /// kSlowRequest event past it (see ReportSlow) — even while the
+    /// recorder is disabled; <= 0 disables the slow path.
     double slow_threshold_s = 0.25;
   };
 
@@ -199,6 +210,16 @@ class TraceRecorder {
   Stripe stripes_[kStripes];
 };
 
+/// The one slow-request policy: returns whether `duration_ns` exceeded
+/// `recorder`'s slow threshold (never, when the threshold is disabled),
+/// and when it did and `log` is non-null, appends one kSlowRequest event
+/// to it carrying `name`, the duration and threshold in milliseconds,
+/// `status` and `trace_id`. Timed spans call it at End(); TileServer
+/// judges its admission-to-write interval with it.
+bool ReportSlow(const TraceRecorder& recorder, const char* name,
+                uint64_t duration_ns, StatusCode status, uint64_t trace_id,
+                EventLog* log);
+
 /// RAII span. Construction opens the span and makes it the calling
 /// thread's current context; destruction (or End()) closes it, restores
 /// the previous context, and hands the event to the recorder when the
@@ -211,20 +232,39 @@ class TraceRecorder {
 ///   TraceSpan span("tile_store.decode");
 ///     child of the thread's current context; inert when no trace is
 ///     active, so library code can instrument unconditionally.
+///
+/// Either form can also be *timed* by passing a LatencyHistogram and/or
+/// an EventLog: a timed span reads the clock even when its trace is inert
+/// (recorder off, no enclosing trace) or unsampled, and at End() records
+/// its duration into the histogram and reports a slow run to the log
+/// through ReportSlow. A timed span is the one timer of the interval it
+/// covers; there is no separate scoped timer.
 class TraceSpan {
  public:
   enum RootTag { kRoot };
 
   /// Child span of the current ambient context (inert without one).
   /// `name` must outlive the recorder (use string literals).
-  explicit TraceSpan(const char* name, TraceRecorder* recorder = nullptr);
+  explicit TraceSpan(const char* name, TraceRecorder* recorder = nullptr)
+      : TraceSpan(name, nullptr, nullptr, recorder) {}
+
+  /// Timed child span: `latency` (when non-null) receives the duration
+  /// and `slow_log` (when non-null) a kSlowRequest event past the slow
+  /// threshold, whether or not a trace is active.
+  TraceSpan(const char* name, LatencyHistogram* latency,
+            EventLog* slow_log = nullptr, TraceRecorder* recorder = nullptr);
 
   /// Root span: starts a new trace when the recorder is enabled. If an
   /// ambient trace is already active on this thread (a layered entry
   /// point — e.g. a MapService endpoint invoked by the network edge,
   /// whose per-request span is the true root), joins it as a child
   /// instead, so one request yields one trace.
-  TraceSpan(const char* name, RootTag, TraceRecorder* recorder = nullptr);
+  TraceSpan(const char* name, RootTag, TraceRecorder* recorder = nullptr)
+      : TraceSpan(name, kRoot, nullptr, nullptr, recorder) {}
+
+  /// Timed root span (see the timed child form).
+  TraceSpan(const char* name, RootTag, LatencyHistogram* latency,
+            EventLog* slow_log = nullptr, TraceRecorder* recorder = nullptr);
 
   ~TraceSpan() { End(); }
 
@@ -237,7 +277,7 @@ class TraceSpan {
   /// quarantine fast-fail) whose evidence is already carried by rarer
   /// spans — the status still shows when the trace is sampled, but the
   /// span doesn't flood the ring and evict the span that discovered the
-  /// problem.
+  /// problem. A slow-request event carries the status too.
   void SetStatus(StatusCode code, bool force = true) {
     event_.status = code;
     force_record_ = force;
@@ -245,11 +285,6 @@ class TraceSpan {
 
   /// Closes the span early (the destructor then does nothing).
   void End();
-
-  /// Forces this span into the ring regardless of sampling — the
-  /// slow-RPC watchdog uses it so a budget-violating request leaves its
-  /// full cross-node trace id in the export even at sample_every_n = 0.
-  void ForceRecord() { record_always_ = true; }
 
   /// 0 when inert (no recorder / no active trace).
   uint64_t trace_id() const { return event_.trace_id; }
@@ -259,14 +294,17 @@ class TraceSpan {
 
  private:
   void Open(TraceRecorder* recorder, const TraceContext& ctx);
+  /// Starts the clock of an inert timed span.
+  void StartTimer(TraceRecorder* recorder);
 
-  TraceRecorder* recorder_ = nullptr;
+  TraceRecorder* recorder_ = nullptr;  // Null while inert and untimed.
+  LatencyHistogram* latency_ = nullptr;
+  EventLog* slow_log_ = nullptr;
   TraceEvent event_;
   TraceContext saved_;
   bool active_ = false;
   bool ended_ = false;
   bool force_record_ = true;
-  bool record_always_ = false;
 };
 
 /// The calling thread's current trace id (0 when no span is open): the

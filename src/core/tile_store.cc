@@ -40,24 +40,32 @@ TileStore::TileStore(const Options& options)
   }
 }
 
-TileStore::TileStore(const TileStore& other)
-    : tile_size_(other.tile_size_),
-      tiles_(other.tiles_),
-      tile_ids_(other.tile_ids_),
-      hits_exported_(other.hits_exported_),
-      misses_exported_(other.misses_exported_),
-      faults_(other.faults_) {}
+TileStore::TileStore(const TileStore& other) { CopyFrom(other); }
 
 TileStore& TileStore::operator=(const TileStore& other) {
-  if (this == &other) return *this;
+  if (this != &other) CopyFrom(other);
+  return *this;
+}
+
+void TileStore::CopyFrom(const TileStore& other) {
   tile_size_ = other.tile_size_;
   tiles_ = other.tiles_;
   tile_ids_ = other.tile_ids_;
   hits_exported_ = other.hits_exported_;
   misses_exported_ = other.misses_exported_;
   faults_ = other.faults_;
-  CacheClear();
-  return *this;
+  // Readers of `other` insert views concurrently. Every cached view is
+  // over the store's own bytes (views over injected corruption are never
+  // cached), which the copy now shares, so each stays valid here.
+  std::unordered_map<uint64_t, std::shared_ptr<const PinnedTileView>> views;
+  {
+    std::lock_guard<std::mutex> lock(other.cache_mu_);
+    views = other.view_cache_;
+  }
+  std::lock_guard<std::mutex> lock(cache_mu_);
+  mutation_gen_.fetch_add(1, std::memory_order_release);
+  quarantined_.clear();
+  view_cache_ = std::move(views);
 }
 
 size_t TileStore::TotalBytes() const {
@@ -313,7 +321,7 @@ Result<PinnedTileView> TileStore::GetTileView(const TileId& id) const {
     auto it = view_cache_.find(key);
     if (it != view_cache_.end()) {
       if (hits_exported_ != nullptr) hits_exported_->Increment();
-      return it->second;
+      return *it->second;
     }
     if (misses_exported_ != nullptr) misses_exported_->Increment();
   }
@@ -373,7 +381,7 @@ Result<PinnedTileView> TileStore::GetTileView(const TileId& id) const {
   if (!injected) {
     std::lock_guard<std::mutex> lock(cache_mu_);
     if (mutation_gen_.load(std::memory_order_relaxed) == gen) {
-      view_cache_.emplace(key, pinned);
+      view_cache_.emplace(key, std::make_shared<const PinnedTileView>(pinned));
     }
   }
   return pinned;

@@ -130,11 +130,13 @@ class TileStore {
   TileStore() : TileStore(Options{}) {}
   explicit TileStore(const Options& options);
 
-  /// Copies configuration and serialized tiles; the copy starts with a
-  /// cold view cache (but keeps the metrics binding). This is
-  /// the copy-on-write step of snapshot publishing: tile bytes are
-  /// immutable and reference-counted (PinnedBytes), so the copy shares
-  /// them without duplicating a byte.
+  /// Copies configuration, serialized tiles, the metrics binding and the
+  /// validated-view cache; the quarantine set starts empty. This is the
+  /// copy-on-write step of snapshot publishing: tile bytes are immutable
+  /// and reference-counted (PinnedBytes), so the copy shares them without
+  /// duplicating a byte, and a cached view stays valid over them — only
+  /// tiles a later RebuildTiles/Put* replaces are validated again. Safe
+  /// against concurrent readers of `other`, not against its writers.
   TileStore(const TileStore& other);
   TileStore& operator=(const TileStore& other);
 
@@ -274,6 +276,8 @@ class TileStore {
   /// reader cannot poison the new payload's state with the old payload's
   /// verdict (GetTileView applies the same rule to cached views).
   void Quarantine(uint64_t key, uint64_t gen) const;
+  /// The body of both copy operations (see the copy constructor).
+  void CopyFrom(const TileStore& other);
   /// Drops one tile's derived read state: cached view and quarantine.
   void CacheErase(uint64_t key);
   /// Drops all derived read state: view cache and quarantine set.
@@ -299,11 +303,14 @@ class TileStore {
   mutable std::set<uint64_t> quarantined_;
 
   // Validated-once views, keyed by Morton code; guarded by cache_mu_ and
-  // invalidated by CacheErase/CacheClear. Entries are tiny (a pin plus
+  // invalidated by CacheErase/CacheClear. Entries are small (a pin plus
   // section pointers) and bounded by the tile count, so no eviction. The
   // pinned bytes are the store's own blobs — pinning them costs nothing
-  // extra.
-  mutable std::unordered_map<uint64_t, PinnedTileView> view_cache_;
+  // extra. Entries are immutable and shared, so a store copy (one per
+  // publish, plus any a caller keeps per version) costs a pointer per
+  // cached tile rather than a copy of each view.
+  mutable std::unordered_map<uint64_t, std::shared_ptr<const PinnedTileView>>
+      view_cache_;
 
   // Optional registry export of the view-cache counters (null when
   // unbound).

@@ -18,6 +18,7 @@
 #include <optional>
 #include <utility>
 
+#include "common/json_escape.h"
 #include "common/trace.h"
 #include "core/binary_io.h"
 #include "core/tile_view.h"
@@ -66,6 +67,8 @@ TileServer::TileServer(const MapService& service, Options options)
       options_(std::move(options)),
       metrics_(options_.metrics != nullptr ? options_.metrics
                                            : &service.metrics()),
+      trace_(options_.trace != nullptr ? options_.trace
+                                       : &TraceRecorder::Global()),
       events_(options_.event_log_capacity) {
   requests_ = metrics_->GetCounter("net.requests");
   busy_rejected_ = metrics_->GetCounter("net.busy_rejected");
@@ -389,14 +392,12 @@ void TileServer::ExecuteRequest(
   // Adopt the client's propagated trace context (when tracing is on), so
   // the root "net.request" span parents under the caller's span and the
   // whole RPC renders as one tree across the process boundary.
-  TraceRecorder* recorder =
-      options_.trace != nullptr ? options_.trace : &TraceRecorder::Global();
   std::optional<TraceContextScope> adopted;
-  if (request.trace_id != 0 && recorder->enabled()) {
+  if (request.trace_id != 0 && trace_->enabled()) {
     adopted.emplace(TraceContext{request.trace_id, request.parent_span_id,
                                  request.trace_sampled});
   }
-  TraceSpan span("net.request", TraceSpan::kRoot, options_.trace);
+  TraceSpan span("net.request", TraceSpan::kRoot, trace_);
   requests_->Increment();
   if (request.type == NetRequestType::kPing) {
     FinishRequest(conn, NetResponseCode::kOk, StatusCode::kOk,
@@ -540,7 +541,8 @@ std::string TileServer::BuildStatsPayload(const NetRequest& request) const {
   // the clamp guards a hostile request from inflating the response).
   size_t max_events = std::min<uint32_t>(request.stats_max_events, 1024);
   std::string out = "{\"node\":{\"label\":\"";
-  out += options_.stats_label.empty() ? "hdmap" : options_.stats_label;
+  AppendJsonEscaped(
+      options_.stats_label.empty() ? "hdmap" : options_.stats_label, &out);
   out += "\",\"health\":\"";
   out += ServiceHealthToString(service_.Health());
   char buf[96];
@@ -592,16 +594,13 @@ void TileServer::FinishRequest(
     std::chrono::steady_clock::time_point admitted) {
   WriteFrame(conn,
              EncodeResponseFrame(code, status, request_id, version, payload));
-  double elapsed = std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - admitted)
-                       .count();
-  latency_->Record(elapsed);
-  if (options_.slow_request_threshold_s > 0 &&
-      elapsed > options_.slow_request_threshold_s) {
-    events_.Append(EventLog::Type::kSlowRequest, CurrentTraceId(),
-                   "net request_id " + std::to_string(request_id) + " took " +
-                       std::to_string(elapsed) + "s");
-  }
+  auto elapsed_ns = static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - admitted)
+          .count());
+  latency_->Record(static_cast<double>(elapsed_ns) * 1e-9);
+  ReportSlow(*trace_, "net.request", elapsed_ns, status, CurrentTraceId(),
+             &events_);
   pending_.fetch_sub(1, std::memory_order_relaxed);
   conn->inflight.fetch_sub(1, std::memory_order_relaxed);
 }
@@ -766,7 +765,6 @@ Result<NetResponse> NetClient::Call(const NetRequest& request) {
   // child when one is active); Send picks it up from the ambient
   // context, so the server's spans parent under this one.
   TraceSpan span("net_client.call", TraceSpan::kRoot);
-  auto started = std::chrono::steady_clock::now();
   Status sent = Send(request);
   if (!sent.ok()) {
     span.SetStatus(sent.code(), /*force=*/false);
@@ -774,25 +772,7 @@ Result<NetResponse> NetClient::Call(const NetRequest& request) {
   }
   Result<NetResponse> response = ReadResponse();
   if (!response.ok()) span.SetStatus(response.status().code(), /*force=*/false);
-  CheckRpcBudget(&span, "call", started);
   return response;
-}
-
-void NetClient::CheckRpcBudget(
-    TraceSpan* span, const char* what,
-    std::chrono::steady_clock::time_point started) {
-  if (slow_rpc_budget_s_ <= 0 || watchdog_events_ == nullptr) return;
-  double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - started)
-          .count();
-  if (elapsed <= slow_rpc_budget_s_) return;
-  // Budget blown: force the span into the ring (the cross-node trace id
-  // must survive even unsampled) and leave a joinable event.
-  span->ForceRecord();
-  watchdog_events_->Append(
-      EventLog::Type::kSlowRequest, span->trace_id(),
-      std::string("net_client ") + what + " took " + std::to_string(elapsed) +
-          "s against a " + std::to_string(slow_rpc_budget_s_) + "s budget");
 }
 
 void NetClient::set_retry_options(RetryOptions options) {
@@ -836,8 +816,8 @@ Result<NetResponse> NetClient::CallWithRetry(const NetRequest& request) {
   // this context, so a retried request still renders as one RPC (its
   // server-side net.request spans all parent here).
   TraceSpan span("net_client.call", TraceSpan::kRoot);
-  auto started = std::chrono::steady_clock::now();
-  auto deadline = started + std::chrono::milliseconds(retry_.deadline_ms);
+  auto deadline = std::chrono::steady_clock::now() +
+                  std::chrono::milliseconds(retry_.deadline_ms);
   Result<NetResponse> last = Status::Internal("no attempt ran");
   int attempts = std::max(1, retry_.max_attempts);
   for (int attempt = 0; attempt < attempts; ++attempt) {
@@ -847,7 +827,6 @@ Result<NetResponse> NetClient::CallWithRetry(const NetRequest& request) {
       if (deadline_exceeded_counter_ != nullptr) {
         deadline_exceeded_counter_->Increment();
       }
-      CheckRpcBudget(&span, "call_with_retry", started);
       return last;
     }
     if (attempt > 0) {
@@ -874,7 +853,6 @@ Result<NetResponse> NetClient::CallWithRetry(const NetRequest& request) {
         if (deadline_exceeded_counter_ != nullptr) {
           deadline_exceeded_counter_->Increment();
         }
-        CheckRpcBudget(&span, "call_with_retry", started);
         return last;
       }
     }
@@ -907,10 +885,8 @@ Result<NetResponse> NetClient::CallWithRetry(const NetRequest& request) {
       last = std::move(response);
       continue;
     }
-    CheckRpcBudget(&span, "call_with_retry", started);
     return response;
   }
-  CheckRpcBudget(&span, "call_with_retry", started);
   return last;
 }
 

@@ -71,10 +71,15 @@ class ReplicationHandler {
 /// version outside the history falls back to a full fetch.
 ///
 /// Observability: every admitted request runs under a root "net.request"
-/// TraceSpan (service-endpoint spans nest beneath it), latencies land in
-/// "net.request_seconds" with "net.*" counters alongside
-/// (requests/busy_rejected/coalesced/computations/bytes/...), and
-/// BUSY/slow events are appended to the server's EventLog.
+/// TraceSpan (service-endpoint spans nest beneath it). Its latency, from
+/// admission to response write, lands in the "net.request" histogram —
+/// timed directly rather than by the span, because only this interval
+/// covers queue wait and the coalesced waiters answered from another
+/// request's computation — with "net.*" counters alongside
+/// (requests/busy_rejected/coalesced/computations/bytes/...). BUSY
+/// rejections and requests past the trace recorder's slow threshold
+/// (judged by ReportSlow, like every timed span) are appended to the
+/// server's EventLog.
 ///
 /// Thread safety: Start/Stop from one thread. Everything else here is
 /// internal; the public read accessors are safe while serving.
@@ -95,9 +100,6 @@ class TileServer {
     /// Per-connection cap on admitted-but-unfinished requests (bounds
     /// how much of the global budget one pipelining client can take).
     uint32_t max_inflight_per_connection = 64;
-    /// Requests slower than this (admission to response write, seconds)
-    /// log a kSlowRequest event; <= 0 disables.
-    double slow_request_threshold_s = 0.25;
     size_t event_log_capacity = 256;
     /// Registry for "net.*" instruments; null uses the service registry.
     MetricsRegistry* metrics = nullptr;
@@ -265,6 +267,9 @@ class TileServer {
   std::mutex coalesce_mu_;
   std::unordered_map<std::string, std::shared_ptr<Computation>> inflight_;
 
+  /// options_.trace, or the global recorder: the spans' recorder and
+  /// the owner of the one slow threshold.
+  TraceRecorder* trace_;
   mutable EventLog events_;
 
   // "net.*" instruments, resolved once at construction.
@@ -333,16 +338,6 @@ class NetClient {
   void set_propagate_trace(bool on) { propagate_trace_ = on; }
   bool propagate_trace() const { return propagate_trace_; }
 
-  /// Slow-RPC watchdog: a Call/CallWithRetry slower than `budget_s`
-  /// end-to-end force-records its "net_client.call" span (so the full
-  /// cross-node trace id survives even unsampled) and appends a
-  /// kSlowRequest event carrying that trace id to `events`. budget_s
-  /// <= 0 or a null log disables. `events` must outlive the client.
-  void set_slow_rpc_watchdog(double budget_s, EventLog* events) {
-    slow_rpc_budget_s_ = budget_s;
-    watchdog_events_ = events;
-  }
-
   /// Sends one request frame (blocking write).
   Status Send(const NetRequest& request);
   /// Sends pre-encoded bytes verbatim — the malformed-input seam for
@@ -382,11 +377,6 @@ class NetClient {
   uint32_t RemainingMs(std::chrono::steady_clock::time_point deadline,
                        bool* expired) const;
 
-  /// Watchdog check at the end of Call/CallWithRetry (see
-  /// set_slow_rpc_watchdog).
-  void CheckRpcBudget(TraceSpan* span, const char* what,
-                      std::chrono::steady_clock::time_point started);
-
   int fd_ = -1;
   uint64_t next_request_id_ = 1;
   std::string read_buffer_;
@@ -395,8 +385,6 @@ class NetClient {
   RetryOptions retry_;
   uint64_t jitter_state_ = 1;
   bool propagate_trace_ = true;
-  double slow_rpc_budget_s_ = 0.0;
-  EventLog* watchdog_events_ = nullptr;
   Counter* attempts_counter_ = nullptr;
   Counter* retries_counter_ = nullptr;
   Counter* backoff_ms_counter_ = nullptr;

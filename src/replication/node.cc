@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <utility>
 
+#include "common/trace.h"
 #include "core/serialization.h"
 
 namespace hdmap {
@@ -240,17 +241,14 @@ Status ReplicationNode::AwaitAcks(const std::shared_ptr<WalShipper>& shipper,
     return Status::Internal("write staged locally but no shipper is running");
   }
   shipper->NotifyAppend();
-  std::chrono::steady_clock::time_point started =
-      std::chrono::steady_clock::now();
+  TraceSpan span("repl.ack_wait", ack_wait_);
   // Deliberately NOT capped at the live follower count: a leader that
   // lost every follower must not self-ack, or "acked" would stop meaning
   // "survives this node's death".
   bool acked = shipper->WaitForAcks(seq, opts_.min_ack_replicas,
                                     opts_.ack_timeout_ms);
-  ack_wait_->Record(
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - started)
-          .count());
   if (!acked) {
+    span.SetStatus(StatusCode::kInternal);
     return Status::Internal(
         "write staged locally but not acked by " +
         std::to_string(opts_.min_ack_replicas) + " replica(s) within " +

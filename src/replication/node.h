@@ -160,7 +160,8 @@ class ReplicationNode {
   uint64_t leader_term_ = 0;             // term of our last election
 
   /// "replication.ack_wait" — time the write path spent blocked in the
-  /// semi-synchronous ack gate (exported as a _seconds histogram).
+  /// semi-synchronous ack gate (exported as a _seconds histogram), fed by
+  /// the timed "repl.ack_wait" span.
   LatencyHistogram* ack_wait_ = nullptr;
 };
 

@@ -367,7 +367,7 @@ Result<std::vector<TileId>> MapService::TouchedTiles(
 
 Status MapService::Publish() {
   std::lock_guard<std::mutex> publish_lock(publish_mu_);
-  TraceSpan span("map_service.publish", TraceSpan::kRoot);
+  TraceSpan span("map_service.publish", TraceSpan::kRoot, lat_publish_);
   auto old = snapshot();
   if (old == nullptr) {
     span.SetStatus(StatusCode::kFailedPrecondition);
@@ -380,7 +380,6 @@ Status MapService::Publish() {
     staged = staged_;
   }
   if (staged.empty()) return Status::Ok();
-  ScopedTimer publish_timer(lat_publish_);
 
   // Apply every staged patch to a private copy, accumulating the touched
   // tiles per patch against the state that patch actually sees (a later
@@ -403,8 +402,9 @@ Status MapService::Publish() {
   }
 
   auto snap = std::make_shared<MapSnapshot>();
-  // Copy-on-write: the copy shares no cache with the served store, and
-  // only the touched tiles get re-serialized from the patched map.
+  // Copy-on-write: the copy shares the served store's bytes and validated
+  // views, and only the touched tiles get re-serialized (and their views
+  // dropped) from the patched map.
   snap->tiles = old->tiles;
   std::vector<TileId> touched_list;
   touched_list.reserve(touched.size());
@@ -529,8 +529,7 @@ Status MapService::RecoverLocked() {
   }
   // Child span: nests under Init's or Recover's root, so a cold recovery
   // renders as one flame graph (checkpoint load, WAL replay, rebuild).
-  TraceSpan span("storage.recover");
-  ScopedTimer timer(lat_recover_);
+  TraceSpan span("storage.recover", lat_recover_);
   size_t checkpoints_skipped = 0;
   HDMAP_ASSIGN_OR_RETURN(
       RecoveredSnapshot recovered,
@@ -663,22 +662,6 @@ void MapService::RecordError(StatusCode code) const {
   if (i > 0 && i < errors_by_code_.size()) errors_by_code_[i]->Increment();
 }
 
-void MapService::FinishRequest(TraceSpan& span, const char* endpoint,
-                               std::chrono::steady_clock::time_point start,
-                               StatusCode code) const {
-  span.SetStatus(code);
-  if (options_.slow_request_threshold_s <= 0.0) return;
-  double elapsed = std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - start)
-                       .count();
-  if (elapsed <= options_.slow_request_threshold_s) return;
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), " took %.1f ms (threshold %.1f ms)",
-                elapsed * 1e3, options_.slow_request_threshold_s * 1e3);
-  events_.Append(EventLog::Type::kSlowRequest, span.trace_id(),
-                 std::string(endpoint) + buf, code);
-}
-
 uint64_t MapService::DegradationEvents() const {
   return errors_by_code_[static_cast<size_t>(StatusCode::kDataLoss)]->value() +
          regions_degraded_->value();
@@ -761,14 +744,12 @@ double MapService::SnapshotAgeSeconds() const {
 Result<HdMap> MapService::GetRegion(const Aabb& box,
                                     RegionReport* report) const {
   requests_->Increment();
-  TraceSpan span("map_service.get_region", TraceSpan::kRoot);
-  auto start = std::chrono::steady_clock::now();
-  ScopedTimer timer(lat_get_region_);
+  TraceSpan span("map_service.get_region", TraceSpan::kRoot, lat_get_region_,
+                 &events_);
   auto snap = snapshot();
   if (snap == nullptr) {
     RecordError(StatusCode::kFailedPrecondition);
-    FinishRequest(span, "map_service.get_region", start,
-                  StatusCode::kFailedPrecondition);
+    span.SetStatus(StatusCode::kFailedPrecondition);
     return Status::FailedPrecondition("MapService::Init has not run");
   }
   // Degradation is observed through the report even when the caller
@@ -799,88 +780,65 @@ Result<HdMap> MapService::GetRegion(const Aabb& box,
                        FormatTileList(rep->corrupt_tiles),
                    StatusCode::kDataLoss);
   }
-  FinishRequest(span, "map_service.get_region", start, code);
+  span.SetStatus(code);
   return region;
-}
-
-Result<HdMap> MapService::GetTile(const TileId& id) const {
-  requests_->Increment();
-  TraceSpan span("map_service.get_tile", TraceSpan::kRoot);
-  auto start = std::chrono::steady_clock::now();
-  ScopedTimer timer(lat_get_tile_);
-  auto snap = snapshot();
-  if (snap == nullptr) {
-    RecordError(StatusCode::kFailedPrecondition);
-    FinishRequest(span, "map_service.get_tile", start,
-                  StatusCode::kFailedPrecondition);
-    return Status::FailedPrecondition("MapService::Init has not run");
-  }
-  auto tile = snap->tiles.LoadTile(id);
-  if (!tile.ok()) RecordError(tile.status().code());
-  FinishRequest(span, "map_service.get_tile", start,
-                tile.ok() ? StatusCode::kOk : tile.status().code());
-  return tile;
 }
 
 Result<VersionedTileView> MapService::GetTileView(const TileId& id) const {
   requests_->Increment();
-  TraceSpan span("map_service.get_tile_view", TraceSpan::kRoot);
-  auto start = std::chrono::steady_clock::now();
-  ScopedTimer timer(lat_get_tile_);
+  TraceSpan span("map_service.get_tile_view", TraceSpan::kRoot, lat_get_tile_,
+                 &events_);
   auto snap = snapshot();
   if (snap == nullptr) {
     RecordError(StatusCode::kFailedPrecondition);
-    FinishRequest(span, "map_service.get_tile_view", start,
-                  StatusCode::kFailedPrecondition);
+    span.SetStatus(StatusCode::kFailedPrecondition);
     return Status::FailedPrecondition("MapService::Init has not run");
   }
   // The view pins the tile bytes itself, so it remains valid even after
   // `snap` dies with this frame and a later publish drops the store.
   auto view = snap->tiles.GetTileView(id);
-  StatusCode code = view.ok() ? StatusCode::kOk : view.status().code();
-  if (!view.ok()) RecordError(code);
-  FinishRequest(span, "map_service.get_tile_view", start, code);
-  if (!view.ok()) return view.status();
+  if (!view.ok()) {
+    RecordError(view.status().code());
+    span.SetStatus(view.status().code());
+    return view.status();
+  }
   return VersionedTileView{snap->version, *std::move(view)};
 }
 
 Result<LaneMatch> MapService::MatchToLane(const Vec2& position,
                                           double max_distance) const {
   requests_->Increment();
-  TraceSpan span("map_service.match_to_lane", TraceSpan::kRoot);
-  auto start = std::chrono::steady_clock::now();
-  ScopedTimer timer(lat_match_);
+  TraceSpan span("map_service.match_to_lane", TraceSpan::kRoot, lat_match_,
+                 &events_);
   auto snap = snapshot();
   if (snap == nullptr) {
     RecordError(StatusCode::kFailedPrecondition);
-    FinishRequest(span, "map_service.match_to_lane", start,
-                  StatusCode::kFailedPrecondition);
+    span.SetStatus(StatusCode::kFailedPrecondition);
     return Status::FailedPrecondition("MapService::Init has not run");
   }
   auto match = snap->map.MatchToLane(position, max_distance);
-  if (!match.ok()) RecordError(match.status().code());
-  FinishRequest(span, "map_service.match_to_lane", start,
-                match.ok() ? StatusCode::kOk : match.status().code());
+  if (!match.ok()) {
+    RecordError(match.status().code());
+    span.SetStatus(match.status().code());
+  }
   return match;
 }
 
 Result<Route> MapService::Route(ElementId from, ElementId to,
                                 RouteAlgorithm algorithm) const {
   requests_->Increment();
-  TraceSpan span("map_service.route", TraceSpan::kRoot);
-  auto start = std::chrono::steady_clock::now();
-  ScopedTimer timer(lat_route_);
+  TraceSpan span("map_service.route", TraceSpan::kRoot, lat_route_, &events_);
   auto snap = snapshot();
   if (snap == nullptr) {
     RecordError(StatusCode::kFailedPrecondition);
-    FinishRequest(span, "map_service.route", start,
-                  StatusCode::kFailedPrecondition);
+    span.SetStatus(StatusCode::kFailedPrecondition);
     return Status::FailedPrecondition("MapService::Init has not run");
   }
   auto route = PlanRoute(*snap->routing, from, to, algorithm);
-  if (!route.ok()) RecordError(route.status().code());
-  FinishRequest(span, "map_service.route", start,
-                route.ok() ? StatusCode::kOk : route.status().code());
+  if (!route.ok()) {
+    RecordError(route.status().code());
+    span.SetStatus(route.status().code());
+  }
   return route;
 }
 

@@ -89,7 +89,7 @@ std::string_view ServiceHealthToString(ServiceHealth health);
 ///
 ///   readers                 writer
 ///   -------                 ------
-///   GetRegion / GetTile     StagePatch (cheap, any thread)
+///   GetRegion / GetTileView StagePatch (cheap, any thread)
 ///   MatchToLane / Route     Publish: copy map, apply patches,
 ///   snapshot()                re-derive only the touched tiles
 ///                             (copy-on-write; untouched tiles keep
@@ -103,11 +103,12 @@ std::string_view ServiceHealthToString(ServiceHealth health);
 /// on a publish and never observes a partially applied patch set: it
 /// either sees the whole previous version or the whole new one.
 ///
-/// Observability: every endpoint records latency into a MetricsRegistry
-/// ("map_service.*" latency histograms, request/error counters,
-/// snapshot version/age gauges), and the tile store exports its
-/// validated-view cache counters ("tile_store.cache_*") through the same
-/// registry.
+/// Observability: every endpoint runs under one timed TraceSpan that
+/// feeds its "map_service.*" latency histogram and, for reader requests
+/// past the trace recorder's slow threshold, a kSlowRequest event;
+/// request/error counters and snapshot version/age gauges sit beside
+/// them, and the tile store exports its validated-view cache counters
+/// ("tile_store.cache_*") through the same registry.
 class MapService {
  public:
   /// Construction knobs (same pattern as TileStore::Options: new knobs
@@ -133,9 +134,6 @@ class MapService {
     /// of serving degraded regions (RegionReadMode::kStrict). Default off:
     /// one corrupt tile should not take down a whole region read.
     bool strict_reads = false;
-    /// Reader requests slower than this (seconds) land in the event log
-    /// as kSlowRequest records; <= 0 disables slow-request events.
-    double slow_request_threshold_s = 0.25;
     /// Capacity of the structured event ring served by RecentEvents().
     size_t event_log_capacity = 256;
     /// How many recent publishes keep their applied patches (serialized)
@@ -292,9 +290,6 @@ class MapService {
   Result<HdMap> GetRegion(const Aabb& box,
                           RegionReport* report = nullptr) const;
 
-  /// One tile of the current snapshot (see TileStore::LoadTile).
-  Result<HdMap> GetTile(const TileId& id) const;
-
   /// Zero-copy read of one tile of the current snapshot (see
   /// TileStore::GetTileView): in-place accessors over the tile's framed
   /// v3 bytes, no decode. The view pins its bytes, so it stays valid
@@ -373,13 +368,6 @@ class MapService {
   /// ("map_service.errors{CODE}").
   void RecordError(StatusCode code) const;
 
-  /// Closes out one reader request: annotates the span with `code` and
-  /// emits a kSlowRequest event when the elapsed time crossed
-  /// Options::slow_request_threshold_s.
-  void FinishRequest(TraceSpan& span, const char* endpoint,
-                     std::chrono::steady_clock::time_point start,
-                     StatusCode code) const;
-
   /// Sum of the counters Health() watches (data-loss errors + degraded
   /// regions served).
   uint64_t DegradationEvents() const;
@@ -390,7 +378,7 @@ class MapService {
 
   // Hot-path instruments, resolved once at construction.
   LatencyHistogram* lat_get_region_ = nullptr;
-  LatencyHistogram* lat_get_tile_ = nullptr;
+  LatencyHistogram* lat_get_tile_ = nullptr;  // Fed by GetTileView.
   LatencyHistogram* lat_match_ = nullptr;
   LatencyHistogram* lat_route_ = nullptr;
   LatencyHistogram* lat_publish_ = nullptr;

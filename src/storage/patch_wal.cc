@@ -112,8 +112,7 @@ Status PatchWal::WriteBatch(const std::string& batch) {
 }
 
 Status PatchWal::Append(const MapPatch& patch, uint64_t version_hint) {
-  TraceSpan span("wal.append");
-  ScopedTimer timer(lat_append_);
+  TraceSpan span("wal.append", lat_append_);
   Status result = [&]() -> Status {
     FaultInjector* faults = options_.fault_injector;
     if (faults != nullptr) {

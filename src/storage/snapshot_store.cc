@@ -116,8 +116,7 @@ Status SnapshotStore::WriteCheckpoint(const TileStore& tiles,
   if (options_.data_dir.empty()) {
     return Status::FailedPrecondition("SnapshotStore has no data_dir");
   }
-  TraceSpan span("storage.checkpoint_write");
-  ScopedTimer timer(lat_write_);
+  TraceSpan span("storage.checkpoint_write", lat_write_);
   Status result = [&]() -> Status {
     FaultInjector* faults = options_.fault_injector;
     if (faults != nullptr) {

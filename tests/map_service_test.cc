@@ -52,9 +52,11 @@ TEST(MapServiceTest, InitServesAllEndpoints) {
   ASSERT_TRUE(region.ok());
   EXPECT_EQ(region->landmarks().size(), num_landmarks);
 
-  auto tile = service.GetTile(service.snapshot()->tiles.TileAt({10, 0}));
+  auto tile = service.GetTileView(service.snapshot()->tiles.TileAt({10, 0}));
   ASSERT_TRUE(tile.ok());
-  EXPECT_GT(tile->NumElements(), 0u);
+  auto tile_map = tile->tile.view.Materialize();
+  ASSERT_TRUE(tile_map.ok());
+  EXPECT_GT(tile_map->NumElements(), 0u);
 
   auto match = service.MatchToLane({50.0, -1.75});
   ASSERT_TRUE(match.ok());
@@ -97,12 +99,11 @@ TEST(MapServiceTest, GetTileViewServesAndPinsAcrossPublish) {
   ASSERT_TRUE(fresh.ok());
   EXPECT_EQ(fresh->version, 2u);
 
-  // View and decode agree on content (same post-publish version).
-  auto tile = service.GetTile(id);
-  ASSERT_TRUE(tile.ok());
-  auto materialized = fresh->tile.view.Materialize();
-  ASSERT_TRUE(materialized.ok());
-  EXPECT_EQ(SerializeMap(*materialized), SerializeMap(*tile));
+  // The fresh view reads the published version's bytes in place.
+  auto raw = service.snapshot()->tiles.RawTileBytes(id);
+  ASSERT_TRUE(raw.ok());
+  EXPECT_EQ(fresh->tile.bytes.view(), raw->view());
+  ASSERT_TRUE(fresh->tile.view.Materialize().ok());
 }
 
 TEST(MapServiceTest, HeldSnapshotIsIsolatedFromPublish) {
@@ -365,7 +366,7 @@ TEST(MapServiceFaultTest, DegradedRegionsCountAndDriveHealth) {
             2u);
 
   // Single-tile loads surface the data loss as a per-code error.
-  auto tile = service.GetTile(service.snapshot()->tiles.TileAt({10, 0}));
+  auto tile = service.GetTileView(service.snapshot()->tiles.TileAt({10, 0}));
   ASSERT_FALSE(tile.ok());
   EXPECT_EQ(tile.status().code(), StatusCode::kDataLoss);
   EXPECT_EQ(
@@ -847,13 +848,16 @@ TEST(MapServiceObservabilityTest, RecentEventsExplainEveryDegradedRegion) {
 }
 
 TEST(MapServiceObservabilityTest, SlowRequestsLeaveAnEvent) {
-  MapService::Options opt = SmallTileOptions();
-  opt.slow_request_threshold_s = 1e-9;  // Everything is "slow".
-  MapService service(opt);
+  // The one slow threshold is the trace recorder's; it applies while the
+  // recorder is disabled too.
+  TraceRecorder::Global().Configure(
+      TraceRecorder::Options{.slow_threshold_s = 1e-9});  // All "slow".
+  MapService service(SmallTileOptions());
   ASSERT_TRUE(service.Init(StraightRoad(300.0)).ok());
   ASSERT_TRUE(service.GetRegion(service.snapshot()->map.BoundingBox()).ok());
+  TraceRecorder::Global().Configure(TraceRecorder::Options{});
   std::vector<EventLog::Event> events = service.RecentEvents();
-  ASSERT_FALSE(events.empty());
+  ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0].type, EventLog::Type::kSlowRequest);
   EXPECT_NE(events[0].detail.find("map_service.get_region"),
             std::string::npos)
@@ -912,7 +916,15 @@ TEST(MapServiceObservabilityTest, EventsOrderDegradeThenRecoverAcrossRestart) {
   ASSERT_TRUE(revived.Init(HdMap()).ok());
   EXPECT_EQ(revived.Health(), ServiceHealth::kDegraded);
 
-  // Recovery already logged its story; now degrade a read on top.
+  // Recovery already logged its story; now degrade a read on top. The
+  // recovered tiles serve from views recovery already validated, so the
+  // load seam (cold reads only) fires on a tile a publish re-derived.
+  MapPatch move;
+  ElementId moved = FirstLandmarkId(revived.snapshot()->map);
+  move.moved_landmarks.push_back(
+      {moved,
+       revived.snapshot()->map.FindLandmark(moved)->position + Vec3{1, 0, 0}});
+  ASSERT_TRUE(revived.ApplyPatch(move).ok());
   faults.AddPolicy({TileStore::kLoadFaultSite, FaultKind::kBitFlip, 1.0});
   ASSERT_TRUE(
       revived.GetRegion(revived.snapshot()->map.BoundingBox()).ok());

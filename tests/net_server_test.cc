@@ -21,6 +21,7 @@
 #include "core/tile_view.h"
 #include "core/wire_frame.h"
 #include "net/protocol.h"
+#include "obs/json.h"
 #include "tests/test_worlds.h"
 
 namespace hdmap {
@@ -647,42 +648,40 @@ TEST(NetServerTest, KStatsServesPrometheusExposition) {
             std::string::npos);
 }
 
-TEST(NetServerTest, SlowRpcWatchdogForceRecordsTrace) {
-  TraceRecorder& recorder = TraceRecorder::Global();
-  TraceRecorder::Options trace_options;
-  trace_options.enabled = true;
-  trace_options.sample_every_n = 0;  // Unsampled: only forced spans record.
-  trace_options.slow_threshold_s = 0.0;
-  recorder.Configure(trace_options);
-
-  EventLog watchdog_log(16);
-  {
-    TileServer::Options options;
-    options.handler_delay_ms_for_test = 20;  // Applies on the fetch path.
-    Harness h(options);
-    h.client.set_slow_rpc_watchdog(/*budget_s=*/0.001, &watchdog_log);
-    TileId id = h.service.snapshot()->tiles.AllTiles().front();
-    auto response = h.client.GetTile(id);
-    ASSERT_TRUE(response.ok());
-    ASSERT_EQ(response->code, NetResponseCode::kOk);
-  }
-
-  // The budget was blown, so the watchdog appended a SLOW_REQUEST event
-  // carrying the call's trace id — and force-recorded the span despite
-  // sampling being off, so the id resolves in the ring.
-  std::vector<EventLog::Event> events = watchdog_log.Recent();
+TEST(NetServerTest, SlowRequestLogsOneEventAgainstRecorderThreshold) {
+  // The tile server judges its admission-to-write interval against the
+  // trace recorder's slow threshold — with the recorder disabled too.
+  TraceRecorder recorder(TraceRecorder::Options{.slow_threshold_s = 0.005});
+  TileServer::Options options;
+  options.handler_delay_ms_for_test = 20;  // Applies on the fetch path.
+  options.trace = &recorder;
+  Harness h(options);
+  TileId id = h.service.snapshot()->tiles.AllTiles().front();
+  auto response = h.client.GetTile(id);
+  ASSERT_TRUE(response.ok());
+  ASSERT_EQ(response->code, NetResponseCode::kOk);
+  h.server->Stop();  // The event lands after the reply write; drain it.
+  std::vector<EventLog::Event> events = h.server->RecentEvents();
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0].type, EventLog::Type::kSlowRequest);
-  ASSERT_NE(events[0].trace_id, 0u);
-  bool span_recorded = false;
-  for (const TraceEvent& event : recorder.Snapshot()) {
-    if (std::string_view(event.name) == "net_client.call" &&
-        event.trace_id == events[0].trace_id) {
-      span_recorded = true;
-    }
-  }
-  EXPECT_TRUE(span_recorded);
-  recorder.Configure(TraceRecorder::Options{});
+  EXPECT_EQ(events[0].detail.rfind("net.request took ", 0), 0u)
+      << events[0].detail;
+  EXPECT_EQ(h.server->metrics().GetLatency("net.request")->count(), 1u);
+  EXPECT_EQ(recorder.recorded(), 0u);
+}
+
+TEST(NetServerTest, KStatsLabelRoundTripsThroughJsonParser) {
+  const std::string label = "n\"1\\x";
+  TileServer::Options options;
+  options.stats_label = label;
+  Harness h(options);
+  auto response = h.client.FetchStats();
+  ASSERT_TRUE(response.ok());
+  Result<JsonValue> doc = ParseJson(response->payload);
+  ASSERT_TRUE(doc.ok()) << doc.status().message();
+  const JsonValue* node = doc->Find("node");
+  ASSERT_NE(node, nullptr);
+  EXPECT_EQ(node->GetString("label"), label);
 }
 
 TEST(NetServerTest, StopDrainsAdmittedRequests) {

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/event_log.h"
+#include "common/trace.h"
 #include "obs/cluster_inspector.h"
 
 namespace hdmap {
@@ -167,6 +168,24 @@ TEST(ObsJsonTest, MergeChromeTraceJsonSkipsNonTraceInput) {
   auto parsed = ParseJson(merged);
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed->Find("traceEvents")->array.size(), 1u);
+}
+
+TEST(ObsJsonTest, ChromeTraceProcessLabelRoundTrips) {
+  const std::string label = "n\"1\\x";
+  TraceRecorder::Options options;
+  options.enabled = true;
+  TraceRecorder recorder(options);
+  { TraceSpan span("net.request", TraceSpan::kRoot, &recorder); }
+  auto parsed = ParseJson(recorder.ExportChromeTraceJson(3, label));
+  ASSERT_TRUE(parsed.ok()) << parsed.status().message();
+  const JsonValue* events = parsed->Find("traceEvents");
+  ASSERT_NE(events, nullptr);
+  ASSERT_EQ(events->array.size(), 2u);
+  EXPECT_EQ(events->array[0].GetString("name"), "process_name");
+  const JsonValue* args = events->array[0].Find("args");
+  ASSERT_NE(args, nullptr);
+  EXPECT_EQ(args->GetString("name"), label);
+  EXPECT_EQ(events->array[1].GetString("name"), "net.request");
 }
 
 }  // namespace

@@ -30,6 +30,7 @@
 #include "common/event_log.h"
 #include "common/fault_injection.h"
 #include "common/rng.h"
+#include "common/trace.h"
 #include "core/serialization.h"
 #include "net/protocol.h"
 #include "net/tile_server.h"
@@ -529,6 +530,55 @@ TEST(ReplicationClusterTest, FollowersConvergeByteExact) {
             nullptr);
   EXPECT_NE(cluster.node(2)->service().snapshot()->map.FindLandmark(800004),
             nullptr);
+}
+
+TEST(ReplicationClusterTest, TimedSpansFeedWritePathHistogramsUntraced) {
+  // With tracing off (the global recorder's default), each timed span
+  // still adds exactly one sample per call to the histograms the
+  // benchmark reads: wal.append, replication.ack_wait,
+  // map_service.publish, storage.checkpoint_write and
+  // map_service.get_region.
+  ASSERT_FALSE(TraceRecorder::Global().enabled());
+  ScopedDataDir dir("timed_spans");
+  TestCluster cluster(2, /*fault_seed=*/17, ClusterTimings{},
+                      /*log_capacity=*/4096, {dir.str(), ""});
+  ReplicationNode* leader = cluster.leader();
+  ASSERT_NE(leader, nullptr);
+  ASSERT_EQ(leader->node_id(), 0);
+  MetricsRegistry& metrics = leader->service().metrics();
+  const std::vector<std::string> names = {
+      "wal.append", "replication.ack_wait", "map_service.publish",
+      "storage.checkpoint_write", "map_service.get_region"};
+  auto counts = [&] {
+    std::map<std::string, size_t> out;
+    for (const std::string& name : names) {
+      out[name] = metrics.GetLatency(name)->count();
+    }
+    return out;
+  };
+  auto expect_added = [&](const std::map<std::string, size_t>& before,
+                          const std::map<std::string, size_t>& added) {
+    std::map<std::string, size_t> now = counts();
+    for (const std::string& name : names) {
+      size_t delta = added.count(name) != 0 ? added.at(name) : 0;
+      EXPECT_EQ(now[name], before.at(name) + delta) << name;
+    }
+  };
+
+  auto before = counts();
+  ASSERT_TRUE(leader->StagePatch(LandmarkPatch(880001)).ok());
+  expect_added(before, {{"wal.append", 1}, {"replication.ack_wait", 1}});
+  before = counts();
+  ASSERT_TRUE(leader->Publish().ok());
+  expect_added(before, {{"map_service.publish", 1},
+                        {"storage.checkpoint_write", 1},
+                        {"replication.ack_wait", 1}});
+  before = counts();
+  ASSERT_TRUE(
+      leader->service()
+          .GetRegion(leader->service().snapshot()->map.BoundingBox())
+          .ok());
+  expect_added(before, {{"map_service.get_region", 1}});
 }
 
 TEST(ReplicationClusterTest, LeaderDeathPromotesMostCaughtUpFollower) {

@@ -300,6 +300,8 @@ TEST(TileStoreTest, OptionsConstructorConfiguresStore) {
 }
 
 TEST(TileStoreTest, CopyKeepsBytesDropsCache) {
+  // The copy-on-write copy keeps the bytes and the validated views of
+  // every tile; only what a later rebuild replaces drops out of its cache.
   MetricsRegistry registry;
   HdMap map = SmallTown();
   TileStore store(
@@ -307,20 +309,31 @@ TEST(TileStoreTest, CopyKeepsBytesDropsCache) {
   ASSERT_TRUE(store.Build(map).ok());
   auto present = store.TilesInBox(map.BoundingBox());
   ASSERT_TRUE(present.ok());
-  ASSERT_TRUE(store.LoadTile(present->front()).ok());  // Warm one entry.
-  ASSERT_TRUE(store.LoadTile(present->front()).ok());
-  CacheCounts before = ReadCacheCounts(registry);
-  EXPECT_EQ(before.hits, 1u);
+  ASSERT_GE(present->size(), 2u);
+  const TileId untouched = present->front();
+  const TileId rebuilt = present->back();
+  ASSERT_TRUE(store.GetTileView(untouched).ok());  // Warm both entries.
+  ASSERT_TRUE(store.GetTileView(rebuilt).ok());
 
   TileStore copy = store;
   EXPECT_EQ(copy.RawTilesCopy(), store.RawTilesCopy());
   EXPECT_EQ(copy.tile_size(), store.tile_size());
-  // The copy keeps the metrics binding but its cache starts cold: the
-  // first load is a miss, not a hit.
-  ASSERT_TRUE(copy.LoadTile(present->front()).ok());
+  ASSERT_TRUE(copy.RebuildTiles(map, {rebuilt}).ok());
+  CacheCounts before = ReadCacheCounts(registry);
+  ASSERT_TRUE(copy.GetTileView(untouched).ok());
   CacheCounts after = ReadCacheCounts(registry);
-  EXPECT_EQ(after.hits, before.hits);
-  EXPECT_EQ(after.misses, before.misses + 1);
+  EXPECT_EQ(after.hits, before.hits + 1);  // Carried across the copy.
+  EXPECT_EQ(after.misses, before.misses);
+  ASSERT_TRUE(copy.GetTileView(rebuilt).ok());
+  CacheCounts last = ReadCacheCounts(registry);
+  EXPECT_EQ(last.hits, after.hits);
+  EXPECT_EQ(last.misses, after.misses + 1);  // Replaced bytes: revalidated.
+
+  // Copy assignment shares the same path.
+  TileStore assigned(TileStore::Options{.tile_size_m = 128.0});
+  assigned = store;
+  ASSERT_TRUE(assigned.GetTileView(untouched).ok());
+  EXPECT_EQ(ReadCacheCounts(registry).hits, last.hits + 1);
 }
 
 TEST(TileStoreTest, RebuildTilesMatchesFullBuild) {
@@ -791,6 +804,46 @@ TEST(TileStoreConcurrencyTest, ConcurrentViewersRaceReplacesSafely) {
   auto final_view = store.GetTileView(victim);
   ASSERT_TRUE(final_view.ok()) << final_view.status().ToString();
   EXPECT_EQ(store.NumQuarantined(), 0u);
+}
+
+TEST(TileStoreConcurrencyTest, ConcurrentCopyWhileReadersFillSourceCache) {
+  // Publish copies the serving store while readers are still filling its
+  // view cache. Under TSan this proves the copy reads the cache under its
+  // lock; in any build every view a copy carries must be over exactly the
+  // copy's own bytes for that tile.
+  HdMap map = SmallTown();
+  TileStore store(TileStore::Options{.tile_size_m = 128.0});
+  ASSERT_TRUE(store.Build(map).ok());
+  const std::vector<TileId> tiles = store.AllTiles();
+  ASSERT_GT(tiles.size(), 4u);
+
+  constexpr int kReaders = 3;
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> readers;
+  readers.reserve(kReaders);
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&store, &tiles, &stop, r] {
+      for (size_t i = static_cast<size_t>(r);
+           !stop.load(std::memory_order_relaxed); i += kReaders) {
+        (void)store.GetTileView(tiles[i % tiles.size()]);
+      }
+    });
+  }
+  int mismatched = 0;
+  for (int round = 0; round < 50; ++round) {
+    TileStore copy = store;
+    for (const TileId& id : tiles) {
+      auto view = copy.GetTileView(id);
+      auto raw = copy.RawTileBytes(id);
+      if (!view.ok() || !raw.ok() ||
+          view->bytes.view().data() != raw->view().data()) {
+        ++mismatched;
+      }
+    }
+  }
+  stop.store(true, std::memory_order_relaxed);
+  for (auto& t : readers) t.join();
+  EXPECT_EQ(mismatched, 0);
 }
 
 TEST(TileStoreConcurrencyTest, PutRawTileRacesReadersSafely) {

@@ -3,12 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <map>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/event_log.h"
+#include "common/metrics.h"
 #include "common/thread_pool.h"
 
 namespace hdmap {
@@ -318,27 +321,110 @@ TEST(TraceRecorderTest, ExportCarriesProcessIdAndWallAnchor) {
   EXPECT_NE(legacy.find("\"args\":{\"name\":\"hdmap\"}"), std::string::npos);
 }
 
-TEST(TraceSpanTest, ForceRecordOverridesSampling) {
+/// Recorder whose slow threshold (0.5 ms) a 2 ms sleep always crosses.
+TraceRecorder::Options SlowProbeOptions(bool enabled) {
   TraceRecorder::Options options;
-  options.enabled = true;
-  options.sample_every_n = 0;  // Nothing records by default.
-  options.slow_threshold_s = 0.0;
-  TraceRecorder recorder(options);
+  options.enabled = enabled;
+  options.sample_every_n = 0;  // Unsampled: only error/slow spans record.
+  options.slow_threshold_s = 0.0005;
+  return options;
+}
+
+void SleepPastThreshold() {
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+}
+
+TEST(TimedSpanTest, DisabledRecorderStillTimesOneSampleAndNoRingEvent) {
+  TraceRecorder recorder;  // Disabled.
+  LatencyHistogram latency;
+  EventLog log(8);
   {
-    TraceSpan dropped("request", TraceSpan::kRoot, &recorder);
+    TraceSpan span("map_service.get_region", TraceSpan::kRoot, &latency,
+                   &log, &recorder);
+    EXPECT_FALSE(span.active());
   }
+  { TraceSpan child("wal.append", &latency, nullptr, &recorder); }
+  EXPECT_EQ(latency.count(), 2u);
   EXPECT_TRUE(recorder.Snapshot().empty());
-  uint64_t forced_trace = 0;
+  EXPECT_EQ(recorder.recorded(), 0u);
+  EXPECT_EQ(log.total_appended(), 0u);  // Fast: under the 0.25 s default.
+}
+
+TEST(TimedSpanTest, SlowSpanAppendsExactlyOneSlowRequestEvent) {
+  TraceRecorder recorder(SlowProbeOptions(/*enabled=*/true));
+  LatencyHistogram latency;
+  EventLog log(8);
+  uint64_t trace_id = 0;
   {
-    TraceSpan forced("request", TraceSpan::kRoot, &recorder);
-    forced.ForceRecord();
-    forced_trace = forced.trace_id();
+    TraceSpan span("map_service.get_region", TraceSpan::kRoot, &latency,
+                   &log, &recorder);
+    trace_id = span.trace_id();
+    span.SetStatus(StatusCode::kDataLoss);
+    SleepPastThreshold();
   }
-  ASSERT_NE(forced_trace, 0u);
+  ASSERT_NE(trace_id, 0u);
+  EXPECT_EQ(latency.count(), 1u);
+  EXPECT_GE(latency.max_seconds(), 0.002);
+  std::vector<EventLog::Event> events = log.Recent();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].type, EventLog::Type::kSlowRequest);
+  EXPECT_EQ(events[0].trace_id, trace_id);
+  EXPECT_EQ(events[0].code, StatusCode::kDataLoss);
+  EXPECT_EQ(events[0].detail.rfind("map_service.get_region took ", 0), 0u)
+      << events[0].detail;
+  EXPECT_NE(events[0].detail.find("(threshold 0.5 ms)"), std::string::npos)
+      << events[0].detail;
+
+  // Under the threshold: a sample, but no event.
+  recorder.Configure(TraceRecorder::Options{.slow_threshold_s = 10.0});
+  {
+    TraceSpan span("map_service.get_region", TraceSpan::kRoot, &latency,
+                   &log, &recorder);
+  }
+  EXPECT_EQ(latency.count(), 2u);
+  EXPECT_EQ(log.total_appended(), 1u);
+
+  // A disabled threshold never reports, however long the span.
+  recorder.Configure(TraceRecorder::Options{.slow_threshold_s = 0.0});
+  {
+    TraceSpan span("map_service.get_region", TraceSpan::kRoot, &latency,
+                   &log, &recorder);
+    SleepPastThreshold();
+  }
+  EXPECT_EQ(log.total_appended(), 1u);
+}
+
+TEST(TimedSpanTest, SlowUnsampledRootSpanLandsInTheRing) {
+  TraceRecorder recorder(SlowProbeOptions(/*enabled=*/true));
+  { TraceSpan fast("request", TraceSpan::kRoot, &recorder); }
+  EXPECT_TRUE(recorder.Snapshot().empty());
+  uint64_t slow_trace = 0;
+  {
+    TraceSpan slow("request", TraceSpan::kRoot, &recorder);
+    slow_trace = slow.trace_id();
+    SleepPastThreshold();
+  }
+  ASSERT_NE(slow_trace, 0u);
   std::vector<TraceEvent> events = recorder.Snapshot();
   ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].trace_id, forced_trace);
+  EXPECT_EQ(events[0].trace_id, slow_trace);
+  EXPECT_TRUE(events[0].slow);
   EXPECT_FALSE(events[0].sampled);
+}
+
+TEST(TimedSpanTest, DisabledRecorderSlowSpanLogsButNeverRecords) {
+  TraceRecorder recorder(SlowProbeOptions(/*enabled=*/false));
+  LatencyHistogram latency;
+  EventLog log(8);
+  {
+    TraceSpan span("storage.checkpoint_write", &latency, &log, &recorder);
+    SleepPastThreshold();
+  }
+  EXPECT_EQ(latency.count(), 1u);
+  std::vector<EventLog::Event> events = log.Recent();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].trace_id, 0u);  // No trace: nothing to join.
+  EXPECT_EQ(recorder.recorded(), 0u);
 }
 
 }  // namespace
